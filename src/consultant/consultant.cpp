@@ -2,8 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 namespace paradyn::consultant {
+
+namespace {
+constexpr std::int32_t kMinId = std::numeric_limits<std::int32_t>::min();
+constexpr std::int32_t kMaxId = std::numeric_limits<std::int32_t>::max();
+}  // namespace
 
 const char* to_string(Hypothesis h) noexcept {
   switch (h) {
@@ -37,20 +44,32 @@ void PerformanceConsultant::Window::push(double cpu_frac, double comm_frac,
     next = (next + 1) % capacity;
   }
   filled = cpu.size();
+  stale_ = true;
+}
+
+void PerformanceConsultant::Window::refresh() const {
+  // A plain left-to-right sum per metric: a running or compensated sum
+  // would round differently and move threshold crossings.
+  double acc_cpu = 0.0;
+  double acc_comm = 0.0;
+  for (std::size_t i = 0; i < cpu.size(); ++i) {
+    acc_cpu += cpu[i];
+    acc_comm += comm[i];
+  }
+  const auto n = static_cast<double>(cpu.size());
+  mean_cpu_ = cpu.empty() ? 0.0 : acc_cpu / n;
+  mean_comm_ = cpu.empty() ? 0.0 : acc_comm / n;
+  stale_ = false;
 }
 
 double PerformanceConsultant::Window::mean_cpu() const {
-  if (cpu.empty()) return 0.0;
-  double acc = 0.0;
-  for (const double v : cpu) acc += v;
-  return acc / static_cast<double>(cpu.size());
+  if (stale_) refresh();
+  return mean_cpu_;
 }
 
 double PerformanceConsultant::Window::mean_comm() const {
-  if (comm.empty()) return 0.0;
-  double acc = 0.0;
-  for (const double v : comm) acc += v;
-  return acc / static_cast<double>(comm.size());
+  if (stale_) refresh();
+  return mean_comm_;
 }
 
 std::vector<Finding> PerformanceConsultant::search_and_record() {
@@ -178,14 +197,14 @@ std::vector<Finding> PerformanceConsultant::search() const {
 
         // Second refinement level: processes on the flagged node that
         // stand out from their node's mean (only meaningful when the node
-        // hosts more than one instrumented process).
-        std::size_t processes_on_node = 0;
-        for (const auto& [key, pw] : per_process_) {
-          if (key.first == node) ++processes_on_node;
-        }
-        if (processes_on_node > 1) {
-          for (const auto& [key, pw] : per_process_) {
-            if (key.first != node || pw.filled < config_.min_samples) continue;
+        // hosts more than one instrumented process).  The map is ordered
+        // by (node, process), so the node's processes are one range.
+        const auto first = per_process_.lower_bound({node, kMinId});
+        const auto last = per_process_.upper_bound({node, kMaxId});
+        if (first != last && std::next(first) != last) {
+          for (auto it = first; it != last; ++it) {
+            const auto& [key, pw] = *it;
+            if (pw.filled < config_.min_samples) continue;
             const double pv = metric_of(pw, h);
             if (pv >= threshold && pv >= value + config_.refinement_margin) {
               Finding pf;
@@ -200,8 +219,11 @@ std::vector<Finding> PerformanceConsultant::search() const {
         }
       }
     }
-    std::sort(refined.begin(), refined.end(),
-              [](const Finding& a, const Finding& b) { return a.observed > b.observed; });
+    std::sort(refined.begin(), refined.end(), [](const Finding& a, const Finding& b) {
+      if (a.observed != b.observed) return a.observed > b.observed;
+      return std::pair(a.focus.node, a.focus.process) <
+             std::pair(b.focus.node, b.focus.process);
+    });
     findings.insert(findings.end(), refined.begin(), refined.end());
   }
   return findings;

@@ -81,7 +81,8 @@ class PerformanceConsultant {
   void observe(const rocc::Sample& sample);
 
   /// Run the two-level search on the current windows.  Global findings come
-  /// first, then per-node refinements ordered by metric severity.
+  /// first, then per-node refinements ordered by metric severity (ties by
+  /// node, then process, a node before its processes).
   [[nodiscard]] std::vector<Finding> search() const;
 
   /// The "when" axis: a (hypothesis, focus) pair's confirmation episode.
@@ -114,6 +115,10 @@ class PerformanceConsultant {
   [[nodiscard]] std::vector<std::int32_t> known_nodes() const;
 
  private:
+  // The means are cached: push() marks them stale and the next read
+  // re-sums the ring once, in index order, so a sample costs one re-sum of
+  // each window it touched.  The refresh writes through const readers, so
+  // a consultant must not be read from two threads at once.
   struct Window {
     std::vector<double> cpu;   // ring buffers of metric values
     std::vector<double> comm;
@@ -123,6 +128,13 @@ class PerformanceConsultant {
     void push(double cpu_frac, double comm_frac, std::size_t capacity);
     [[nodiscard]] double mean_cpu() const;
     [[nodiscard]] double mean_comm() const;
+
+   private:
+    void refresh() const;
+
+    mutable bool stale_ = false;
+    mutable double mean_cpu_ = 0.0;
+    mutable double mean_comm_ = 0.0;
   };
 
   [[nodiscard]] double metric_of(const Window& w, Hypothesis h) const;

@@ -1,6 +1,8 @@
 #include "consultant/fault_detector.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -16,40 +18,58 @@ FaultDetector::FaultDetector(rocc::FaultPlan plan, DetectorConfig config)
   }
 }
 
-std::string FaultDetector::signature(rocc::SimTime now) const {
-  // Sort the finding labels so the fingerprint is insensitive to the
-  // severity ordering of search() — a rank swap between two persistent
-  // findings is not a behavioral change.
-  std::vector<std::string> parts;
+namespace {
+
+constexpr std::uint64_t kStarvedTag = 3;  // after the three hypotheses
+
+// One key per signature element: two tag bits (the hypothesis, or
+// kStarvedTag), then node + 1 and process + 1 in 31 bits each, where 0
+// stands for the whole program or a node-level focus.  For ids in
+// [0, INT32_MAX) the keys map one-to-one onto the elements' labels
+// ("CPUBound@node 3 / process 1", "starved@node 5", ...), so equal key
+// sets mean equal findings and starvation sets.
+std::uint64_t signature_key(std::uint64_t tag, std::int32_t node, std::int32_t process) {
+  return tag << 62 | static_cast<std::uint64_t>(node + 1) << 31 |
+         static_cast<std::uint64_t>(process + 1);
+}
+
+bool valid_id(std::int32_t id) {
+  return id >= 0 && id < std::numeric_limits<std::int32_t>::max();
+}
+
+}  // namespace
+
+void FaultDetector::refresh_signature(rocc::SimTime now) {
+  // Sort the keys so the fingerprint is insensitive to the severity
+  // ordering of search() — a rank swap between two persistent findings is
+  // not a behavioral change.
+  signature_.clear();
   for (const Finding& f : consultant_.search()) {
-    parts.push_back(std::string(to_string(f.hypothesis)) + "@" + f.focus.describe());
+    const auto tag = static_cast<std::uint64_t>(f.hypothesis);
+    signature_.push_back(f.focus.whole_program
+                             ? signature_key(tag, -1, -1)
+                             : signature_key(tag, f.focus.node, f.focus.process));
   }
   const rocc::SimTime horizon = config_.starvation_factor * config_.sampling_period_us;
   for (const auto& [node, seen] : last_seen_) {
-    if (now - seen > horizon) parts.push_back("starved@node " + std::to_string(node));
+    if (now - seen > horizon) signature_.push_back(signature_key(kStarvedTag, node, -1));
   }
-  std::sort(parts.begin(), parts.end());
-  std::string sig;
-  for (const std::string& p : parts) {
-    sig += p;
-    sig += ';';
-  }
-  return sig;
+  std::sort(signature_.begin(), signature_.end());
 }
 
 void FaultDetector::evaluate(rocc::SimTime now) {
-  const std::string sig = signature(now);
+  refresh_signature(now);
   for (std::size_t i = 0; i < tracked_.size(); ++i) {
     Tracked& t = tracked_[i];
     if (now < t.spec.start_us) {
-      t.baseline = sig;
+      t.baseline = signature_;
     } else if (!t.detected) {
-      if (sig != t.baseline) {
+      if (signature_ != t.baseline) {
         t.detected = true;
         t.detected_at = now;
         if (on_detect_) on_detect_(i, now);
       }
-    } else if (!t.recovered && now >= t.spec.end_us() && sig == t.baseline) {
+    } else if (!t.recovered && now >= t.spec.end_us() && signature_ == t.baseline) {
       t.recovered = true;
       t.recovered_at = now;
     }
@@ -57,6 +77,11 @@ void FaultDetector::evaluate(rocc::SimTime now) {
 }
 
 void FaultDetector::observe(const rocc::Sample& sample, rocc::SimTime delivered_at) {
+  if (!valid_id(sample.node) || !valid_id(sample.app_index)) {
+    throw std::invalid_argument("FaultDetector: sample node " + std::to_string(sample.node) +
+                                " / process " + std::to_string(sample.app_index) +
+                                " outside [0, INT32_MAX)");
+  }
   last_seen_[sample.node] = delivered_at;
   consultant_.observe(sample);
   evaluate(delivered_at);

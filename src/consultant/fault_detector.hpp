@@ -4,8 +4,9 @@
 // module measures how long the *analysis side* of the IS takes to notice.
 // The detector maintains a behavioral signature of the consultant's state —
 // the set of confirmed (hypothesis, focus) findings plus the set of
-// sample-starved nodes — and compares it against the signature last seen
-// before each fault's injection time:
+// sample-starved nodes, kept as a sorted set of integer keys that is only
+// ever compared for equality — and compares it against the signature last
+// seen before each fault's injection time:
 //
 //   detection latency = injection time -> first signature change, and
 //   recovery latency  = window end     -> first return to the baseline,
@@ -16,6 +17,7 @@
 // treating latency as a first-class IS metric).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -44,7 +46,9 @@ class FaultDetector {
   FaultDetector(rocc::FaultPlan plan, DetectorConfig config);
 
   /// Feed one delivered sample; `delivered_at` is the simulated delivery
-  /// time (wire to MainParadyn's sink with the engine clock).
+  /// time (wire to MainParadyn's sink with the engine clock).  Node and
+  /// process ids must lie in [0, INT32_MAX); throws std::invalid_argument
+  /// otherwise.
   void observe(const rocc::Sample& sample, rocc::SimTime delivered_at);
 
   /// Copy detection/recovery results into `outcomes` (which must be the
@@ -62,17 +66,20 @@ class FaultDetector {
   }
 
  private:
+  /// Sorted keys, one per finding or starved node (see refresh_signature()).
+  using Signature = std::vector<std::uint64_t>;
+
   struct Tracked {
     rocc::FaultSpec spec;
-    std::string baseline;  ///< Signature last seen before spec.start_us.
+    Signature baseline;  ///< Signature last seen before spec.start_us.
     bool detected = false;
     rocc::SimTime detected_at = 0.0;
     bool recovered = false;
     rocc::SimTime recovered_at = 0.0;
   };
 
-  /// Findings fingerprint + starved-node set at `now`.
-  [[nodiscard]] std::string signature(rocc::SimTime now) const;
+  /// Findings fingerprint + starved-node set at `now`, into `signature_`.
+  void refresh_signature(rocc::SimTime now);
   void evaluate(rocc::SimTime now);
 
   DetectorConfig config_;
@@ -81,6 +88,8 @@ class FaultDetector {
   DetectionCallback on_detect_;
   /// Last delivery time per node (starvation bookkeeping).
   std::map<std::int32_t, rocc::SimTime> last_seen_;
+  /// The current signature; reused across samples.
+  Signature signature_;
 };
 
 /// Ties a FaultDetector to a Simulation for one run: attaches the main

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "testbed/cpu_timer.hpp"
 
 namespace paradyn::testbed {
@@ -143,8 +146,11 @@ TEST(Testbed, DaemonCountValidation) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+// The workload is a std::string, not a const char*: gtest prints a pointer
+// parameter as its address, which would put a per-run load address into
+// the discovered test names.
 class WorkloadPolicyMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(WorkloadPolicyMatrix, RunsCleanlyWithoutLoss) {
   const auto [workload, batch] = GetParam();
@@ -155,10 +161,11 @@ TEST_P(WorkloadPolicyMatrix, RunsCleanlyWithoutLoss) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCells, WorkloadPolicyMatrix,
-                         ::testing::Combine(::testing::Values("bt", "is"),
+                         ::testing::Combine(::testing::Values(std::string("bt"),
+                                                              std::string("is")),
                                             ::testing::Values(1, 16, 128)),
                          [](const auto& info) {
-                           return std::string(std::get<0>(info.param)) + "_batch" +
+                           return std::get<0>(info.param) + "_batch" +
                                   std::to_string(std::get<1>(info.param));
                          });
 
