@@ -10,6 +10,20 @@ namespace paradyn::consultant {
 namespace {
 constexpr std::int32_t kMinId = std::numeric_limits<std::int32_t>::min();
 constexpr std::int32_t kMaxId = std::numeric_limits<std::int32_t>::max();
+
+constexpr Hypothesis kHypotheses[] = {Hypothesis::CpuBound, Hypothesis::CommunicationBound,
+                                      Hypothesis::SyncWaiting};
+
+// Fixed-point scale of the running sums.  Entries lie in [0, 1], so each
+// contributes at most 2^40 and 2^23 entries sum below 2^63: exact, even
+// though the unsigned arithmetic is only taken modulo 2^64.
+constexpr double kFixedScale = 0x1p40;
+constexpr std::size_t kMaxFixedEntries = std::size_t{1} << 23;
+constexpr double kUnitRoundoff = 0x1p-53;
+
+std::uint64_t to_fixed(double fraction) {
+  return static_cast<std::uint64_t>(fraction * kFixedScale);
+}
 }  // namespace
 
 const char* to_string(Hypothesis h) noexcept {
@@ -35,13 +49,27 @@ PerformanceConsultant::PerformanceConsultant(ConsultantConfig config)
 
 void PerformanceConsultant::Window::push(double cpu_frac, double comm_frac,
                                          std::size_t capacity) {
+  // A slot holding a non-finite value (NaN passes the clamp) stays out of
+  // the fixed sums, which then certify nothing until it is overwritten.
   if (cpu.size() < capacity) {
     cpu.push_back(cpu_frac);
     comm.push_back(comm_frac);
   } else {
+    if (std::isfinite(cpu[next]) && std::isfinite(comm[next])) {
+      fixed_cpu -= to_fixed(cpu[next]);
+      fixed_comm -= to_fixed(comm[next]);
+    } else {
+      --non_finite;
+    }
     cpu[next] = cpu_frac;
     comm[next] = comm_frac;
     next = (next + 1) % capacity;
+  }
+  if (std::isfinite(cpu_frac) && std::isfinite(comm_frac)) {
+    fixed_cpu += to_fixed(cpu_frac);
+    fixed_comm += to_fixed(comm_frac);
+  } else {
+    ++non_finite;
   }
   filled = cpu.size();
   stale_ = true;
@@ -105,9 +133,20 @@ void PerformanceConsultant::observe(const rocc::Sample& sample) {
   // can report a fraction slightly above 1.
   const double cpu = std::clamp(sample.cpu_fraction, 0.0, 1.0);
   const double comm = std::clamp(sample.comm_fraction, 0.0, 1.0);
-  per_node_[sample.node].push(cpu, comm, config_.window);
+  const auto [slot, joined] = node_index_.try_emplace(sample.node, rows_.size());
+  if (joined) {
+    node_windows_.emplace_back();
+    rows_.push_back(NodeRow{sample.node});
+  }
+  Window& window = node_windows_[slot->second];
+  window.push(cpu, comm, config_.window);
+  NodeRow& row = rows_[slot->second];
+  row.filled = window.filled;
+  for (const Hypothesis h : kHypotheses) {
+    row.metric[static_cast<std::size_t>(h)] = metric_of(window, h);
+  }
   per_process_[{sample.node, sample.app_index}].push(cpu, comm, config_.window);
-  global_.push(cpu, comm, config_.window * std::max<std::size_t>(per_node_.size(), 1));
+  global_.push(cpu, comm, config_.window * std::max<std::size_t>(rows_.size(), 1));
   ++observed_;
 }
 
@@ -136,9 +175,9 @@ double PerformanceConsultant::threshold_of(Hypothesis h) const {
 }
 
 double PerformanceConsultant::node_mean(Hypothesis h, std::int32_t node) const {
-  const auto it = per_node_.find(node);
-  if (it == per_node_.end()) return 0.0;
-  return metric_of(it->second, h);
+  const auto it = node_index_.find(node);
+  if (it == node_index_.end()) return 0.0;
+  return rows_[it->second].metric[static_cast<std::size_t>(h)];
 }
 
 double PerformanceConsultant::process_mean(Hypothesis h, std::int32_t node,
@@ -154,79 +193,131 @@ double PerformanceConsultant::global_mean(Hypothesis h) const {
 
 std::vector<std::int32_t> PerformanceConsultant::known_nodes() const {
   std::vector<std::int32_t> nodes;
-  nodes.reserve(per_node_.size());
-  for (const auto& [node, window] : per_node_) nodes.push_back(node);
+  nodes.reserve(node_index_.size());
+  for (const auto& [node, slot] : node_index_) nodes.push_back(node);
   return nodes;
+}
+
+PerformanceConsultant::MeanBound PerformanceConsultant::global_mean_bound(
+    Hypothesis h) const {
+  const std::size_t n = global_.filled;
+  if (n == 0 || n > kMaxFixedEntries || global_.non_finite != 0) {
+    return {0.0, std::numeric_limits<double>::infinity()};
+  }
+  // global_mean() is fl(s / n) for the in-order float sum s of n entries
+  // in [0, 1]; the running estimate is fl(fl(S) * 2^-40 / n) for the fixed
+  // sum S.  Their distance is at most gamma(n-1) (summation) + 2^-40
+  // (truncation) + 4u (the divisions and the conversion of S), doubled
+  // here to absorb the rounding of this bound and of approx +- eps.
+  constexpr double u = kUnitRoundoff;
+  const auto count = static_cast<double>(n);
+  const double gamma = (count - 1.0) * u / (1.0 - (count - 1.0) * u);
+  const double eps = 2.0 * (gamma + 1.0 / kFixedScale + 4.0 * u);
+  const double cpu = static_cast<double>(global_.fixed_cpu) / kFixedScale / count;
+  const double comm = static_cast<double>(global_.fixed_comm) / kFixedScale / count;
+  switch (h) {
+    case Hypothesis::CpuBound:
+      return {cpu, eps};
+    case Hypothesis::CommunicationBound:
+      return {comm, eps};
+    case Hypothesis::SyncWaiting:
+      // Both means carry eps; each side rounds 1 - cpu - comm twice.
+      return {std::max(0.0, 1.0 - cpu - comm), 2.0 * eps + 4.0 * u};
+  }
+  return {0.0, std::numeric_limits<double>::infinity()};
+}
+
+// Calls emit(focus, observed, samples) for every focus confirmed for `h`:
+// the whole program first, then each refined node followed by its refined
+// processes, nodes in join order.  Node and process evidence is exact; the
+// whole program's `observed` is only an estimate (search() reads the exact
+// mean).
+//
+// The whole-program mean g enters two decisions: g >= threshold, and a
+// node's value >= fl(g + margin).  Both are taken from an interval
+// [lo, hi] that holds g (global_mean_bound()); fl is monotone, so
+// fl(lo + margin) <= fl(g + margin) <= fl(hi + margin) and a decision the
+// interval does not straddle is the exact one.  Only a straddled decision
+// pays for the exact in-order re-sum, which then collapses the interval.
+template <typename Emit>
+void PerformanceConsultant::decide(Hypothesis h, Emit&& emit) const {
+  if (global_.filled < config_.min_samples) return;
+  const double threshold = threshold_of(h);
+  const double margin = config_.refinement_margin;
+  const MeanBound bound = global_mean_bound(h);
+  double lo = bound.approx - bound.eps;
+  double hi = bound.approx + bound.eps;
+  bool exact = false;
+  const auto pin = [&] {
+    lo = hi = metric_of(global_, h);
+    exact = true;
+  };
+  if (!(lo >= threshold) && !(hi < threshold)) pin();
+  if (lo >= threshold) emit(Focus{true, -1}, lo, global_.filled);
+
+  // "Where" refinement: per-node foci that exceed the threshold and
+  // stand out from the global mean.  Run even when the global test is
+  // false — a single hot node can hide in the whole-program average
+  // (exactly why W3 refines along the resource hierarchy).
+  double cut_lo = lo + margin;
+  double cut_hi = hi + margin;
+  const auto metric = static_cast<std::size_t>(h);
+  for (const NodeRow& row : rows_) {
+    if (row.filled < config_.min_samples) continue;
+    const double value = row.metric[metric];
+    if (!(value >= threshold) || value < cut_lo) continue;
+    if (!(value >= cut_hi)) {
+      if (exact) continue;
+      pin();
+      cut_lo = cut_hi = lo + margin;
+      if (!(value >= cut_hi)) continue;
+    }
+    emit(Focus{false, row.node, -1}, value, row.filled);
+
+    // Second refinement level: processes on the flagged node that stand
+    // out from their node's mean (only meaningful when the node hosts
+    // more than one instrumented process).  The map is ordered by
+    // (node, process), so the node's processes are one range.
+    const auto first = per_process_.lower_bound({row.node, kMinId});
+    const auto last = per_process_.upper_bound({row.node, kMaxId});
+    if (first == last || std::next(first) == last) continue;
+    for (auto it = first; it != last; ++it) {
+      const auto& [key, pw] = *it;
+      if (pw.filled < config_.min_samples) continue;
+      const double pv = metric_of(pw, h);
+      if (pv >= threshold && pv >= value + margin) {
+        emit(Focus{false, row.node, key.second}, pv, pw.filled);
+      }
+    }
+  }
 }
 
 std::vector<Finding> PerformanceConsultant::search() const {
   std::vector<Finding> findings;
-  if (global_.filled < config_.min_samples) return findings;
-
-  for (const Hypothesis h : {Hypothesis::CpuBound, Hypothesis::CommunicationBound,
-                             Hypothesis::SyncWaiting}) {
-    const double global = metric_of(global_, h);
+  for (const Hypothesis h : kHypotheses) {
     const double threshold = threshold_of(h);
-    const bool global_true = global >= threshold;
-    if (global_true) {
-      Finding f;
-      f.hypothesis = h;
-      f.focus = Focus{true, -1};
-      f.observed = global;
-      f.threshold = threshold;
-      f.samples = global_.filled;
-      findings.push_back(f);
-    }
-
-    // "Where" refinement: per-node foci that exceed the threshold and
-    // stand out from the global mean.  Run even when the global test is
-    // false — a single hot node can hide in the whole-program average
-    // (exactly why W3 refines along the resource hierarchy).
-    std::vector<Finding> refined;
-    for (const auto& [node, window] : per_node_) {
-      if (window.filled < config_.min_samples) continue;
-      const double value = metric_of(window, h);
-      if (value >= threshold && value >= global + config_.refinement_margin) {
-        Finding f;
-        f.hypothesis = h;
-        f.focus = Focus{false, node, -1};
-        f.observed = value;
-        f.threshold = threshold;
-        f.samples = window.filled;
-        refined.push_back(f);
-
-        // Second refinement level: processes on the flagged node that
-        // stand out from their node's mean (only meaningful when the node
-        // hosts more than one instrumented process).  The map is ordered
-        // by (node, process), so the node's processes are one range.
-        const auto first = per_process_.lower_bound({node, kMinId});
-        const auto last = per_process_.upper_bound({node, kMaxId});
-        if (first != last && std::next(first) != last) {
-          for (auto it = first; it != last; ++it) {
-            const auto& [key, pw] = *it;
-            if (pw.filled < config_.min_samples) continue;
-            const double pv = metric_of(pw, h);
-            if (pv >= threshold && pv >= value + config_.refinement_margin) {
-              Finding pf;
-              pf.hypothesis = h;
-              pf.focus = Focus{false, node, key.second};
-              pf.observed = pv;
-              pf.threshold = threshold;
-              pf.samples = pw.filled;
-              refined.push_back(pf);
-            }
-          }
-        }
-      }
-    }
-    std::sort(refined.begin(), refined.end(), [](const Finding& a, const Finding& b) {
+    const std::size_t first = findings.size();
+    decide(h, [&](const Focus& focus, double observed, std::size_t samples) {
+      findings.push_back(Finding{h, focus,
+                                 focus.whole_program ? metric_of(global_, h) : observed,
+                                 threshold, samples});
+    });
+    auto refined = findings.begin() + static_cast<std::ptrdiff_t>(first);
+    if (refined != findings.end() && refined->focus.whole_program) ++refined;
+    std::sort(refined, findings.end(), [](const Finding& a, const Finding& b) {
       if (a.observed != b.observed) return a.observed > b.observed;
       return std::pair(a.focus.node, a.focus.process) <
              std::pair(b.focus.node, b.focus.process);
     });
-    findings.insert(findings.end(), refined.begin(), refined.end());
   }
   return findings;
+}
+
+void PerformanceConsultant::search_foci(std::vector<Confirmation>& out) const {
+  out.clear();
+  for (const Hypothesis h : kHypotheses) {
+    decide(h, [&](const Focus& focus, double, std::size_t) { out.push_back({h, focus}); });
+  }
 }
 
 }  // namespace paradyn::consultant

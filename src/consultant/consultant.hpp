@@ -85,6 +85,25 @@ class PerformanceConsultant {
   /// node, then process, a node before its processes).
   [[nodiscard]] std::vector<Finding> search() const;
 
+  /// A confirmed (hypothesis, focus) pair without its evidence.
+  struct Confirmation {
+    Hypothesis hypothesis = Hypothesis::CpuBound;
+    Focus focus;
+  };
+  /// The pairs search() would report, in no particular order, written over
+  /// `out` (whose capacity is reused).  Cheaper than search(): no sort and
+  /// no exact whole-program mean unless a decision needs one.
+  void search_foci(std::vector<Confirmation>& out) const;
+
+  /// A running approximation of global_mean(h) with a certified bound:
+  /// |global_mean(h) - approx| <= eps.  eps is +inf while the running sums
+  /// cannot certify anything (empty or oversized window, non-finite entry).
+  struct MeanBound {
+    double approx = 0.0;
+    double eps = 0.0;
+  };
+  [[nodiscard]] MeanBound global_mean_bound(Hypothesis h) const;
+
   /// The "when" axis: a (hypothesis, focus) pair's confirmation episode.
   struct Episode {
     Hypothesis hypothesis = Hypothesis::CpuBound;
@@ -116,14 +135,21 @@ class PerformanceConsultant {
 
  private:
   // The means are cached: push() marks them stale and the next read
-  // re-sums the ring once, in index order, so a sample costs one re-sum of
-  // each window it touched.  The refresh writes through const readers, so
-  // a consultant must not be read from two threads at once.
+  // re-sums the ring once, in index order, so a read after a sample costs
+  // one re-sum of each window it touched.  The refresh writes through const
+  // readers, so a consultant must not be read from two threads at once.
+  //
+  // push() also keeps exact fixed-point running sums (trunc(x * 2^40) per
+  // finite entry, modulo 2^64) from which the search bounds the global
+  // mean without the re-sum; see global_mean_bound().
   struct Window {
     std::vector<double> cpu;   // ring buffers of metric values
     std::vector<double> comm;
     std::size_t next = 0;
     std::size_t filled = 0;
+    std::uint64_t fixed_cpu = 0;
+    std::uint64_t fixed_comm = 0;
+    std::size_t non_finite = 0;  ///< Entries left out of the fixed sums.
 
     void push(double cpu_frac, double comm_frac, std::size_t capacity);
     [[nodiscard]] double mean_cpu() const;
@@ -137,11 +163,26 @@ class PerformanceConsultant {
     mutable double mean_comm_ = 0.0;
   };
 
+  /// One node's search inputs, refreshed by observe(): metric[h] is
+  /// metric_of(that node's window, h).
+  struct NodeRow {
+    std::int32_t node = 0;
+    std::size_t filled = 0;
+    double metric[3] = {0.0, 0.0, 0.0};
+  };
+
+  /// The decision core behind search() and search_foci(); see consultant.cpp.
+  template <typename Emit>
+  void decide(Hypothesis h, Emit&& emit) const;
+
   [[nodiscard]] double metric_of(const Window& w, Hypothesis h) const;
   [[nodiscard]] double threshold_of(Hypothesis h) const;
 
   ConsultantConfig config_;
-  std::map<std::int32_t, Window> per_node_;
+  /// Node id -> index into node_windows_ and rows_ (both in join order).
+  std::map<std::int32_t, std::size_t> node_index_;
+  std::vector<Window> node_windows_;
+  std::vector<NodeRow> rows_;
   std::map<std::pair<std::int32_t, std::int32_t>, Window> per_process_;
   Window global_;
   std::uint64_t observed_ = 0;

@@ -40,19 +40,20 @@ bool valid_id(std::int32_t id) {
 }  // namespace
 
 void FaultDetector::refresh_signature(rocc::SimTime now) {
-  // Sort the keys so the fingerprint is insensitive to the severity
-  // ordering of search() — a rank swap between two persistent findings is
-  // not a behavioral change.
+  // Sort the keys: search_foci() reports pairs in no particular order, and
+  // the fingerprint must not see one — a rank swap between two persistent
+  // findings is not a behavioral change.
   signature_.clear();
-  for (const Finding& f : consultant_.search()) {
-    const auto tag = static_cast<std::uint64_t>(f.hypothesis);
-    signature_.push_back(f.focus.whole_program
+  consultant_.search_foci(foci_);
+  for (const PerformanceConsultant::Confirmation& c : foci_) {
+    const auto tag = static_cast<std::uint64_t>(c.hypothesis);
+    signature_.push_back(c.focus.whole_program
                              ? signature_key(tag, -1, -1)
-                             : signature_key(tag, f.focus.node, f.focus.process));
+                             : signature_key(tag, c.focus.node, c.focus.process));
   }
   const rocc::SimTime horizon = config_.starvation_factor * config_.sampling_period_us;
-  for (const auto& [node, seen] : last_seen_) {
-    if (now - seen > horizon) signature_.push_back(signature_key(kStarvedTag, node, -1));
+  for (const LastSeen& seen : last_seen_) {
+    if (now - seen.at > horizon) signature_.push_back(signature_key(kStarvedTag, seen.node, -1));
   }
   std::sort(signature_.begin(), signature_.end());
 }
@@ -82,7 +83,9 @@ void FaultDetector::observe(const rocc::Sample& sample, rocc::SimTime delivered_
                                 " / process " + std::to_string(sample.app_index) +
                                 " outside [0, INT32_MAX)");
   }
-  last_seen_[sample.node] = delivered_at;
+  const auto [slot, joined] = seen_index_.try_emplace(sample.node, last_seen_.size());
+  if (joined) last_seen_.push_back(LastSeen{sample.node});
+  last_seen_[slot->second].at = delivered_at;
   consultant_.observe(sample);
   evaluate(delivered_at);
 }

@@ -86,10 +86,18 @@ class FaultDetector {
   PerformanceConsultant consultant_;
   std::vector<Tracked> tracked_;
   DetectionCallback on_detect_;
-  /// Last delivery time per node (starvation bookkeeping).
-  std::map<std::int32_t, rocc::SimTime> last_seen_;
-  /// The current signature; reused across samples.
+  /// Last delivery time per node, in first-delivery order (starvation
+  /// bookkeeping), and each node's index into it.
+  struct LastSeen {
+    std::int32_t node = 0;
+    rocc::SimTime at = 0.0;
+  };
+  std::vector<LastSeen> last_seen_;
+  std::map<std::int32_t, std::size_t> seen_index_;
+  /// The current signature and the confirmed foci behind it; both reused
+  /// across samples.
   Signature signature_;
+  std::vector<PerformanceConsultant::Confirmation> foci_;
 };
 
 /// Ties a FaultDetector to a Simulation for one run: attaches the main

@@ -1,17 +1,21 @@
 // Differential oracle for the consultant's incremental search.
 //
-// PerformanceConsultant caches each window's means and FaultDetector keeps
-// its signature as sorted integer keys.  The reference below is the
-// from-scratch formulation those replace: every mean re-summed on every
-// read, every process scan over the whole per-process map, and every
-// signature a sorted, ';'-joined string of finding labels.  Both sides are
-// fed the same seeded sample stream and must agree bit for bit: the same
-// findings in the same order with the same observed values after every
-// sample, and the same per-fault detection and recovery times.
+// PerformanceConsultant caches each window's means, keeps dense per-node
+// rows, and decides the whole-program tests from a certified bound on a
+// running estimate of the global mean; FaultDetector keeps its signature
+// as sorted integer keys built from the keys-only search_foci().  The
+// reference below is the from-scratch formulation those replace: every
+// mean re-summed on every read, every process scan over the whole
+// per-process map, and every signature a sorted, ';'-joined string of
+// finding labels.  Both sides are fed the same seeded sample stream and
+// must agree bit for bit: the same findings in the same order with the
+// same observed values after every sample, the same confirmed foci, and
+// the same per-fault detection and recovery times.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -29,6 +33,14 @@ namespace paradyn::consultant {
 namespace {
 
 // ------------------------------------------------------------- reference
+
+constexpr Hypothesis kHypotheses[] = {Hypothesis::CpuBound, Hypothesis::CommunicationBound,
+                                      Hypothesis::SyncWaiting};
+
+/// A signature element's label, e.g. "CPUBound@node 3 / process 1".
+std::string label(Hypothesis h, const Focus& focus) {
+  return std::string(to_string(h)) + "@" + focus.describe();
+}
 
 class ReferenceConsultant {
  public:
@@ -56,8 +68,7 @@ class ReferenceConsultant {
   [[nodiscard]] std::vector<Finding> search() const {
     std::vector<Finding> findings;
     if (global_.filled < config_.min_samples) return findings;
-    for (const Hypothesis h : {Hypothesis::CpuBound, Hypothesis::CommunicationBound,
-                               Hypothesis::SyncWaiting}) {
+    for (const Hypothesis h : kHypotheses) {
       const double global = metric_of(global_, h);
       const double threshold = threshold_of(h);
       if (global >= threshold) {
@@ -67,7 +78,8 @@ class ReferenceConsultant {
       for (const auto& [node, window] : per_node_) {
         if (window.filled < config_.min_samples) continue;
         const double value = metric_of(window, h);
-        if (value < threshold || value < global + config_.refinement_margin) continue;
+        // Negated >= rather than <: a NaN mean confirms nothing.
+        if (!(value >= threshold && value >= global + config_.refinement_margin)) continue;
         refined.push_back(Finding{h, Focus{false, node, -1}, value, threshold, window.filled});
         std::size_t processes_on_node = 0;
         for (const auto& [key, pw] : per_process_) {
@@ -206,9 +218,7 @@ class ReferenceDetector {
  private:
   [[nodiscard]] std::string signature(rocc::SimTime now) const {
     std::vector<std::string> parts;
-    for (const Finding& f : findings_) {
-      parts.push_back(std::string(to_string(f.hypothesis)) + "@" + f.focus.describe());
-    }
+    for (const Finding& f : findings_) parts.push_back(label(f.hypothesis, f.focus));
     const rocc::SimTime horizon = config_.starvation_factor * config_.sampling_period_us;
     for (const auto& [node, seen] : last_seen_) {
       if (now - seen > horizon) parts.push_back("starved@node " + std::to_string(node));
@@ -259,10 +269,23 @@ void expect_same_findings(const std::vector<Finding>& expected,
   }
 }
 
+/// search_foci() holds exactly the (hypothesis, focus) pairs of `expected`.
+void expect_same_foci(const std::vector<Finding>& expected, const PerformanceConsultant& pc,
+                      std::size_t step) {
+  std::vector<std::string> want;
+  for (const Finding& f : expected) want.push_back(label(f.hypothesis, f.focus));
+  std::vector<PerformanceConsultant::Confirmation> foci;
+  pc.search_foci(foci);
+  std::vector<std::string> got;
+  for (const auto& c : foci) got.push_back(label(c.hypothesis, c.focus));
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(want, got) << "after sample " << step;
+}
+
 void expect_same_means(const ReferenceConsultant& ref, const PerformanceConsultant& pc,
                        std::int32_t node, std::int32_t process) {
-  for (const Hypothesis h : {Hypothesis::CpuBound, Hypothesis::CommunicationBound,
-                             Hypothesis::SyncWaiting}) {
+  for (const Hypothesis h : kHypotheses) {
     EXPECT_EQ(bits(ref.node_mean(h, node)), bits(pc.node_mean(h, node)))
         << to_string(h) << " node " << node;
     EXPECT_EQ(bits(ref.process_mean(h, node, process)),
@@ -379,6 +402,7 @@ TEST_P(ConsultantOracle, IncrementalSearchMatchesFromScratchReference) {
 
         const std::vector<Finding>& expected = reference.findings();
         expect_same_findings(expected, detector.consultant().search(), step);
+        expect_same_foci(expected, detector.consultant(), step);
         if (HasFatalFailure()) return;
         for (std::size_t i = 0; i < expected.size(); ++i) {
           if (expected[i].focus.whole_program) ++global_findings;
@@ -535,6 +559,210 @@ TEST(ConsultantCache, TiedSeverityOrdersByNodeThenProcess) {
   EXPECT_EQ(order, (std::vector<std::int32_t>{2, 4, 6}));
 }
 
+// ------------------------------------------- certified bound and fallback
+
+double& threshold_of(ConsultantConfig& config, Hypothesis h) {
+  switch (h) {
+    case Hypothesis::CpuBound:
+      return config.cpu_bound_threshold;
+    case Hypothesis::CommunicationBound:
+      return config.comm_bound_threshold;
+    case Hypothesis::SyncWaiting:
+      break;
+  }
+  return config.sync_waiting_threshold;
+}
+
+/// Three nodes x two processes of values whose sums round, so the running
+/// estimate of the global mean misses the exact in-order mean in its low
+/// bits.  Node 0 runs hottest.
+std::vector<rocc::Sample> awkward_stream() {
+  std::vector<rocc::Sample> stream;
+  for (int i = 0; i < 40; ++i) {
+    for (std::int32_t node = 0; node < 3; ++node) {
+      for (std::int32_t proc = 0; proc < 2; ++proc) {
+        const double cpu = 0.78 + ((i * 7 + node * 3 + proc) % 13) / 97.0 + (node == 0 ? 0.05 : 0);
+        const double comm = 0.05 + ((i * 5 + node) % 11) / 113.0;
+        stream.push_back(make_sample(node, proc, cpu, comm));
+      }
+    }
+  }
+  return stream;
+}
+
+/// Replays `stream` into a consultant and the reference under `config`,
+/// checks they agree, and returns the reference's findings.
+std::vector<Finding> replay_and_compare(const ConsultantConfig& config,
+                                        const std::vector<rocc::Sample>& stream) {
+  PerformanceConsultant pc(config);
+  ReferenceConsultant ref(config);
+  for (const rocc::Sample& s : stream) {
+    pc.observe(s);
+    ref.observe(s);
+  }
+  const std::vector<Finding> want = ref.search();
+  // Keys first: search() would leave the exact global mean cached.
+  expect_same_foci(want, pc, stream.size());
+  expect_same_findings(want, pc.search(), stream.size());
+  return want;
+}
+
+bool has_focus(const std::vector<Finding>& findings, Hypothesis h, const Focus& focus) {
+  return std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
+    return label(f.hypothesis, f.focus) == label(h, focus);
+  });
+}
+
+TEST(ConsultantBoundary, GlobalMeanOnAThresholdOrOneUlpAway) {
+  const std::vector<rocc::Sample> stream = awkward_stream();
+  PerformanceConsultant probe;
+  for (const rocc::Sample& s : stream) probe.observe(s);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Hypothesis h : kHypotheses) {
+    const double g = probe.global_mean(h);
+    // Only an estimate that misses g makes these cases need the fallback.
+    ASSERT_NE(probe.global_mean_bound(h).approx, g) << to_string(h);
+    for (const double t : {std::nextafter(g, -kInf), g, std::nextafter(g, kInf)}) {
+      ConsultantConfig config;
+      threshold_of(config, h) = t;
+      const std::vector<Finding> want = replay_and_compare(config, stream);
+      EXPECT_EQ(has_focus(want, h, Focus{true, -1}), g >= t) << to_string(h) << " at " << t;
+    }
+  }
+}
+
+TEST(ConsultantBoundary, NodeMeanTyingGlobalPlusMargin) {
+  const std::vector<rocc::Sample> stream = awkward_stream();
+  PerformanceConsultant probe;
+  for (const rocc::Sample& s : stream) probe.observe(s);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Hypothesis h : kHypotheses) {
+    const double g = probe.global_mean(h);
+    const double v = probe.node_mean(h, 0);
+    ASSERT_NE(probe.global_mean_bound(h).approx, g) << to_string(h);
+    // Margins whose cut fl(g + margin) lands just below, on, and just
+    // above node 0's mean.
+    double tie = v - g;
+    while (g + tie < v) tie = std::nextafter(tie, kInf);
+    while (g + tie > v) tie = std::nextafter(tie, -kInf);
+    ASSERT_EQ(g + tie, v) << to_string(h);
+    double below = tie;
+    while (g + below >= v) below = std::nextafter(below, -kInf);
+    double above = tie;
+    while (g + above <= v) above = std::nextafter(above, kInf);
+    for (const double margin : {below, tie, above}) {
+      ConsultantConfig config;
+      config.refinement_margin = margin;
+      threshold_of(config, h) = 0.0;  // only the margin decides
+      const std::vector<Finding> want = replay_and_compare(config, stream);
+      EXPECT_EQ(has_focus(want, h, Focus{false, 0, -1}), margin != above)
+          << to_string(h) << " margin " << margin;
+    }
+  }
+}
+
+/// Draws fractions the bound must hold for: exact 0 and 1, subnormals,
+/// values below the fixed-point quantum, threshold neighbours, values the
+/// clamp folds, and plain uniforms.
+double awkward_fraction(std::mt19937_64& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double uniform = static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  switch (rng() % 10) {
+    case 0:
+      return 0.0;
+    case 1:
+      return 1.0;
+    case 2:
+      return std::numeric_limits<double>::denorm_min() * static_cast<double>(1 + rng() % 7);
+    case 3:
+      return 0x1p-41 * uniform;
+    case 4:
+      return std::nextafter(0.85, rng() % 2 ? kInf : -kInf);
+    case 5:
+      return std::nextafter(rng() % 2 ? 0.30 : 0.40, rng() % 2 ? kInf : -kInf);
+    case 6:
+      return std::nextafter(1.0, 0.0);
+    case 7:
+      return rng() % 2 ? 1.5 : -0.25;
+    default:
+      return uniform;
+  }
+}
+
+TEST(ConsultantBound, RunningEstimateStaysWithinEps) {
+  struct Case {
+    std::uint64_t seed;
+    std::size_t window;
+    int nodes;
+    int steps;
+  };
+  // Small rings wrap many times; 64 x 32 is the 2048-slot global window.
+  for (const Case c : {Case{1, 4, 16, 4000}, Case{2, 8, 24, 6000}, Case{3, 32, 64, 12000}}) {
+    ConsultantConfig config;
+    config.window = c.window;
+    PerformanceConsultant pc(config);
+    std::mt19937_64 rng(c.seed);
+    double worst = 0.0;  // largest |exact - approx| / eps seen
+    for (int step = 0; step < c.steps; ++step) {
+      // Node n joins after step 40 * n, so late joins grow a wrapped ring.
+      const int active = std::min(c.nodes, 1 + step / 40);
+      const auto node = static_cast<std::int32_t>(rng() % static_cast<std::uint64_t>(active));
+      pc.observe(make_sample(node, static_cast<std::int32_t>(rng() % 3), awkward_fraction(rng),
+                             awkward_fraction(rng)));
+      for (const Hypothesis h : kHypotheses) {
+        const auto bound = pc.global_mean_bound(h);
+        const double exact = pc.global_mean(h);
+        ASSERT_TRUE(std::isfinite(bound.eps)) << to_string(h) << " step " << step;
+        ASSERT_LE(std::abs(exact - bound.approx), bound.eps)
+            << to_string(h) << " seed " << c.seed << " step " << step;
+        EXPECT_LT(bound.eps, 1e-10) << to_string(h);
+        worst = std::max(worst, std::abs(exact - bound.approx) / bound.eps);
+      }
+    }
+    EXPECT_GT(worst, 0.0) << "seed " << c.seed;  // the estimate does round
+    EXPECT_EQ(pc.known_nodes().size(), static_cast<std::size_t>(c.nodes));
+  }
+}
+
+TEST(ConsultantNonFinite, NanSampleMatchesReference) {
+  ConsultantConfig config;
+  config.window = 8;
+  PerformanceConsultant pc(config);
+  ReferenceConsultant ref(config);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  bool saw_uncertified = false;
+  std::size_t findings = 0;
+  for (int step = 0; step < 200; ++step) {
+    const auto node = static_cast<std::int32_t>(step % 4);
+    double cpu = node == 1 ? 0.95 : 0.4 + 0.01 * (step % 7);
+    double comm = 0.05;
+    if (step == 50) cpu = kNan;   // poisons node 2's, and the global, cpu mean
+    if (step == 63) comm = kNan;  // node 3's comm mean
+    if (step == 72) {             // the clamp folds infinities to 1 and 0
+      cpu = kInf;
+      comm = -kInf;
+    }
+    const rocc::Sample s = make_sample(node, step % 2, cpu, comm);
+    pc.observe(s);
+    ref.observe(s);
+    const std::vector<Finding> want = ref.search();
+    expect_same_foci(want, pc, static_cast<std::size_t>(step));
+    expect_same_findings(want, pc.search(), static_cast<std::size_t>(step));
+    if (HasFatalFailure()) return;
+    findings += want.size();
+    for (const Hypothesis h : kHypotheses) {
+      saw_uncertified |= !std::isfinite(pc.global_mean_bound(h).eps);
+    }
+  }
+  EXPECT_TRUE(saw_uncertified);
+  EXPECT_GT(findings, 0u);
+  // Both NaN slots have been overwritten: the bound certifies again.
+  for (const Hypothesis h : kHypotheses) {
+    EXPECT_TRUE(std::isfinite(pc.global_mean_bound(h).eps)) << to_string(h);
+  }
+}
+
 TEST(FaultDetectorSignature, DistinguishesSwappedProcessFindings) {
   // One sample swaps which process on node 1 is refined (process 3 ->
   // process 4) while every other finding stays: the finding count is
@@ -567,6 +795,7 @@ TEST(FaultDetectorSignature, DistinguishesSwappedProcessFindings) {
     detector.observe(stream[i], t);
     reference.observe(stream[i], t);
     expect_same_findings(reference.findings(), detector.consultant().search(), i);
+    expect_same_foci(reference.findings(), detector.consultant(), i);
     if (i + 2 == stream.size()) {
       for (const Finding& f : reference.findings()) {
         if (f.focus.process >= 0) refined_before.push_back(f.focus.process);
