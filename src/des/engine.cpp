@@ -1,14 +1,38 @@
 #include "des/engine.hpp"
 
+#include <limits>
+
 #include "obs/trace.hpp"
 
 namespace paradyn::des {
 
 std::uint64_t Engine::run() {
+  const std::uint64_t executed =
+      drain(std::numeric_limits<SimTime>::infinity(), EventQueue::Bound::Inclusive);
+  if (tracer_ != nullptr) trace_flush();
+  return executed;
+}
+
+std::uint64_t Engine::run_until(SimTime t_end) {
+  return run_to(t_end, EventQueue::Bound::Inclusive);
+}
+
+std::uint64_t Engine::run_before(SimTime t_end) {
+  return run_to(t_end, EventQueue::Bound::Exclusive);
+}
+
+std::uint64_t Engine::run_to(SimTime t_end, EventQueue::Bound bound) {
+  const std::uint64_t executed = drain(t_end, bound);
+  if (!stopping_ && now_ < t_end) now_ = t_end;
+  if (tracer_ != nullptr) trace_flush();
+  return executed;
+}
+
+std::uint64_t Engine::drain(SimTime limit, EventQueue::Bound bound) {
   stopping_ = false;
   std::uint64_t executed = 0;
   while (!stopping_) {
-    auto fired = queue_.pop();
+    const auto fired = queue_.pop(limit, bound);
     if (!fired) break;
     now_ = fired->time;
     if (tracer_ != nullptr) trace_event_executed();
@@ -16,43 +40,6 @@ std::uint64_t Engine::run() {
     ++executed;
     ++processed_;
   }
-  if (tracer_ != nullptr) trace_flush();
-  return executed;
-}
-
-std::uint64_t Engine::run_until(SimTime t_end) {
-  stopping_ = false;
-  std::uint64_t executed = 0;
-  while (!stopping_) {
-    auto next = queue_.peek_time();
-    if (!next || *next > t_end) break;
-    auto fired = queue_.pop();
-    now_ = fired->time;
-    if (tracer_ != nullptr) trace_event_executed();
-    queue_.fire(*fired);
-    ++executed;
-    ++processed_;
-  }
-  if (!stopping_ && now_ < t_end) now_ = t_end;
-  if (tracer_ != nullptr) trace_flush();
-  return executed;
-}
-
-std::uint64_t Engine::run_before(SimTime t_end) {
-  stopping_ = false;
-  std::uint64_t executed = 0;
-  while (!stopping_) {
-    auto next = queue_.peek_time();
-    if (!next || *next >= t_end) break;
-    auto fired = queue_.pop();
-    now_ = fired->time;
-    if (tracer_ != nullptr) trace_event_executed();
-    queue_.fire(*fired);
-    ++executed;
-    ++processed_;
-  }
-  if (!stopping_ && now_ < t_end) now_ = t_end;
-  if (tracer_ != nullptr) trace_flush();
   return executed;
 }
 

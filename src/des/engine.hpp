@@ -80,6 +80,11 @@ class Engine {
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
+  /// Fire events in order while the next one is within `limit` (see
+  /// EventQueue::Bound) and stop() was not called.
+  std::uint64_t drain(SimTime limit, EventQueue::Bound bound);
+  /// drain(), then advance the clock to t_end unless stopped.
+  std::uint64_t run_to(SimTime t_end, EventQueue::Bound bound);
   void trace_event_executed();
   void trace_flush();
 

@@ -6,7 +6,7 @@
 
 namespace paradyn::des {
 
-EventQueue::EventQueue() : bucket_head_(kNumBuckets, kNpos) {}
+EventQueue::EventQueue() : bucket_head_(kNumBuckets, kNpos), bucket_tail_(kNumBuckets, kNpos) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNpos) {
@@ -19,7 +19,6 @@ std::uint32_t EventQueue::acquire_slot() {
     slabs_.push_back(std::make_unique<Callback[]>(kSlabSize));
   }
   time_.push_back(0.0);
-  seq_.push_back(0);
   next_.push_back(kNpos);
   generation_.push_back(0);
   state_.push_back(State::Free);
@@ -49,25 +48,37 @@ std::size_t EventQueue::bucket_index(SimTime time) const noexcept {
 
 void EventQueue::insert_bucket(std::size_t index, std::uint32_t slot) noexcept {
   const SimTime time = time_[slot];
-  const std::uint64_t seq = seq_[slot];
-  std::uint32_t* head = &bucket_head_[index];
-  // Insertion sort by (time, seq): bucket lists hold ~1 live record at the
-  // adapted width, so the walk is short — and it reads only the packed key
-  // columns, never the callback slabs.
-  while (*head != kNpos) {
-    const std::uint32_t other = *head;
-    if (time < time_[other] || (time == time_[other] && seq < seq_[other])) break;
-    head = &next_[other];
+  const std::uint32_t tail = bucket_tail_[index];
+  // At or after the tail — always for an empty bucket, and for every
+  // same-instant burst such as timers re-armed at the same k * period —
+  // the record appends in O(1).
+  if (tail == kNpos || !(time < time_[tail])) {
+    append_bucket(index, slot);
+    return;
   }
-  next_[slot] = *head;
-  *head = slot;
+  // Out of order: insertion sort by time.  The record sorts before the
+  // tail, so the walk stops inside the list and the tail is unchanged; it
+  // reads only the packed time column, never the callback slabs.
+  std::uint32_t* link = &bucket_head_[index];
+  while (!(time < time_[*link])) link = &next_[*link];
+  next_[slot] = *link;
+  *link = slot;
   ++in_buckets_;
   if (index < cursor_) cursor_ = index;
 }
 
-void EventQueue::link(std::uint32_t slot, SimTime time) {
+void EventQueue::append_bucket(std::size_t index, std::uint32_t slot) noexcept {
+  const std::uint32_t tail = bucket_tail_[index];
+  next_[slot] = kNpos;
+  (tail == kNpos ? bucket_head_[index] : next_[tail]) = slot;
+  bucket_tail_[index] = slot;
+  ++in_buckets_;
+  if (index < cursor_) cursor_ = index;
+}
+
+void EventQueue::link(std::uint32_t slot, SimTime time, std::uint64_t seq) {
   if (!window_valid_ || time >= win_hi_) {
-    staging_.push_back(FarEntry{time, seq_[slot], slot});
+    staging_.push_back(FarEntry{time, seq, slot});
     return;
   }
   insert_bucket(bucket_index(time), slot);
@@ -132,14 +143,12 @@ bool EventQueue::advance_window() {
   window_valid_ = true;
   cursor_ = 0;
 
-  // Migration visits slots in ascending (time, seq), so a record landing in
-  // the same bucket as its predecessor appends at the tail; the hint makes
-  // that O(1) instead of re-walking the bucket list per record.  The
-  // per-slot state/link lookups are data-dependent loads off the ladder,
-  // so prefetch the columns a few entries ahead of the scan.
+  // Migration starts from empty buckets and visits slots in ascending
+  // (time, seq) through a monotone time -> bucket map, so every record
+  // appends at its bucket's tail.  The per-slot state/link lookups are
+  // data-dependent loads off the ladder, so prefetch the columns a few
+  // entries ahead of the scan.
   constexpr std::size_t kPrefetchAhead = 8;
-  std::size_t last_index = kNumBuckets;
-  std::uint32_t last_slot = kNpos;
   while (ladder_head_ < ladder_.size()) {
     if (ladder_head_ + kPrefetchAhead < ladder_.size()) {
       const std::uint32_t ahead = ladder_[ladder_head_ + kPrefetchAhead].slot;
@@ -153,16 +162,7 @@ bool EventQueue::advance_window() {
       ++ladder_head_;
       continue;
     }
-    const std::size_t index = bucket_index(entry.time);
-    if (index == last_index) {
-      next_[last_slot] = entry.slot;
-      next_[entry.slot] = kNpos;
-      ++in_buckets_;
-    } else {
-      insert_bucket(index, entry.slot);
-    }
-    last_index = index;
-    last_slot = entry.slot;
+    append_bucket(bucket_index(entry.time), entry.slot);
     ++ladder_head_;
   }
   if (ladder_head_ == ladder_.size()) {
@@ -177,8 +177,7 @@ std::uint32_t EventQueue::sweep_to_head() noexcept {
     while (bucket_head_[cursor_] == kNpos) ++cursor_;
     const std::uint32_t slot = bucket_head_[cursor_];
     if (state_[slot] == State::Cancelled) {
-      bucket_head_[cursor_] = next_[slot];
-      --in_buckets_;
+      unlink_head(slot);
       recycle(slot);
       continue;
     }
@@ -187,22 +186,30 @@ std::uint32_t EventQueue::sweep_to_head() noexcept {
   return kNpos;
 }
 
-std::optional<EventQueue::Fired> EventQueue::pop() {
+void EventQueue::unlink_head(std::uint32_t slot) noexcept {
+  const std::uint32_t next = next_[slot];
+  bucket_head_[cursor_] = next;
+  if (next == kNpos) bucket_tail_[cursor_] = kNpos;
+  --in_buckets_;
+}
+
+std::optional<EventQueue::Fired> EventQueue::pop(SimTime limit, Bound bound) {
   for (;;) {
     const std::uint32_t slot = sweep_to_head();
     if (slot == kNpos) {
       if (!advance_window()) return std::nullopt;
       continue;
     }
-    bucket_head_[cursor_] = next_[slot];
-    --in_buckets_;
+    const SimTime time = time_[slot];
+    if (bound == Bound::Inclusive ? time > limit : time >= limit) return std::nullopt;
+    unlink_head(slot);
     state_[slot] = State::Firing;
     --live_;
     // The caller's next step is fire() — touch its callback line now — and
     // after that the drain revisits this bucket's successor's keys.
     prefetch(&callback_of(slot));
     if (next_[slot] != kNpos) prefetch(&time_[next_[slot]]);
-    return Fired{time_[slot], slot};
+    return Fired{time, slot};
   }
 }
 

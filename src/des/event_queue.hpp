@@ -7,8 +7,11 @@
 //    simulated time wide.  An event whose time falls inside the window is
 //    insertion-sorted into its bucket's intrusive list; with the width
 //    adapted to roughly one live event per bucket, push and pop are O(1)
-//    amortized.  A cursor sweeps the window monotonically, so pop never
-//    rescans drained buckets.
+//    amortized.  Each bucket also tracks its tail, so a push that sorts at
+//    or after the tail — every push of a same-instant burst, such as
+//    sampling timers re-armed at the same k * period — appends in O(1)
+//    instead of walking the run.  A cursor sweeps the window monotonically,
+//    so pop never rescans drained buckets.
 //  * Far tier — events beyond the window land in an unsorted staging
 //    buffer of (time, seq, slot) tuples.  When the near tier drains, the
 //    window advances: the staging buffer is sorted and merged into the
@@ -17,8 +20,8 @@
 //    at the ladder's earliest time with a width derived from the event
 //    density near its head, and the leading run is migrated into buckets.
 //
-// Storage is structure-of-arrays: the hot traversal keys — (time, seq)
-// ordering fields, intrusive links, lifecycle state, ABA generations —
+// Storage is structure-of-arrays: the hot traversal keys — event times,
+// intrusive links, lifecycle state, ABA generations —
 // live in dense per-slot vectors, so bucket walks, sweeps, and ladder
 // checks touch only packed key lines instead of dragging each record's
 // callback bytes through the cache (the AoS record was ~128 bytes, of
@@ -46,6 +49,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -97,11 +101,10 @@ class EventQueue {
   EventHandle push(SimTime time, F&& callback) {
     const std::uint32_t slot = acquire_slot();
     time_[slot] = time;
-    seq_[slot] = next_seq_++;
     callback_of(slot).emplace(std::forward<F>(callback));
     state_[slot] = State::Pending;
     const std::uint32_t generation = generation_[slot];
-    link(slot, time);
+    link(slot, time, next_seq_++);
     ++live_;
     return EventHandle{this, slot, generation};
   }
@@ -117,7 +120,18 @@ class EventQueue {
     SimTime time = 0;
     std::uint32_t slot = 0;
   };
-  [[nodiscard]] std::optional<Fired> pop();
+  [[nodiscard]] std::optional<Fired> pop() {
+    return pop(std::numeric_limits<SimTime>::infinity(), Bound::Inclusive);
+  }
+
+  /// Whether a bounded pop accepts an event exactly at its limit.
+  enum class Bound : std::uint8_t { Inclusive, Exclusive };
+
+  /// pop(), but only if the earliest live event's time is <= `limit`
+  /// (Inclusive) or < `limit` (Exclusive); otherwise nullopt, and the event
+  /// stays pending.  One pass to the head, where peek_time() + pop() took
+  /// two.
+  [[nodiscard]] std::optional<Fired> pop(SimTime limit, Bound bound);
 
   /// Invoke the popped event's callback, then recycle its record.
   void fire(const Fired& fired);
@@ -166,9 +180,14 @@ class EventQueue {
   std::uint32_t acquire_slot();
   void recycle(std::uint32_t slot) noexcept;
 
-  /// Route a record into its bucket or the far tier.
-  void link(std::uint32_t slot, SimTime time);
+  /// Route a newly pushed record into its bucket or the far tier.
+  void link(std::uint32_t slot, SimTime time, std::uint64_t seq);
+  /// Link a newly pushed record into its bucket.  Its seq is the largest
+  /// issued, so it sorts after every record of equal time: the time alone
+  /// decides its place.
   void insert_bucket(std::size_t index, std::uint32_t slot) noexcept;
+  /// Link a record that sorts after every record in its bucket.
+  void append_bucket(std::size_t index, std::uint32_t slot) noexcept;
   [[nodiscard]] std::size_t bucket_index(SimTime time) const noexcept;
 
   /// Advance the window over the far tier.  Returns false when the far
@@ -178,11 +197,14 @@ class EventQueue {
   /// First pending record in the near tier, recycling cancelled records
   /// encountered on the way.  kNpos when the near tier is drained.
   std::uint32_t sweep_to_head() noexcept;
+  /// Unlink the head record of the cursor's bucket.
+  void unlink_head(std::uint32_t slot) noexcept;
 
   // Per-slot key columns (SoA), indexed by slot id; grown only in
   // acquire_slot.  Traversals touch these and never the callback slabs.
+  // No seq column: within a bucket, list order is insertion order among
+  // equal times, and the far tier carries seq in its tuples.
   std::vector<SimTime> time_;
-  std::vector<std::uint64_t> seq_;
   std::vector<std::uint32_t> next_;        ///< Intrusive link: bucket or free list.
   std::vector<std::uint32_t> generation_;  ///< Bumped on recycle (ABA guard).
   std::vector<State> state_;
@@ -192,8 +214,10 @@ class EventQueue {
   std::uint32_t free_head_ = kNpos;
   std::size_t allocated_ = 0;
 
-  // Near tier.
+  // Near tier.  Each bucket is an intrusive list sorted by (time, seq);
+  // bucket_tail_ holds its last record (kNpos when empty) for O(1) appends.
   std::vector<std::uint32_t> bucket_head_;
+  std::vector<std::uint32_t> bucket_tail_;
   std::size_t cursor_ = 0;          ///< First bucket that may hold records.
   std::size_t in_buckets_ = 0;      ///< Records linked in buckets (any state).
   bool window_valid_ = false;

@@ -10,10 +10,13 @@
 // pointer chasing to reach the closure state.
 //
 // Move-only.  The stored callable must be nothrow-move-constructible so
-// records can be relocated without an exception path.
+// records can be relocated without an exception path.  A trivially copyable
+// capture (the common `[this]` / `[this, slot]` shapes) relocates by copying
+// its sizeof bytes, without an indirect call.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -84,8 +87,10 @@ class InlineFunction {
  private:
   struct VTable {
     void (*invoke)(void*);
+    /// Null for trivially copyable captures: move_from copies `size` bytes.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
+    std::size_t size;  ///< Capture bytes; 0 for an empty (capture-less) one.
   };
 
   template <typename D>
@@ -99,16 +104,25 @@ class InlineFunction {
   };
 
   // A null destroy marks a trivially destructible capture, so the hot
-  // recycle path (reset after every fired event) skips the indirect call.
+  // recycle path (reset after every fired event) skips the indirect call;
+  // a null relocate likewise marks a trivially copyable one.
   template <typename D>
   static inline const VTable kVTable{
-      &Ops<D>::invoke, &Ops<D>::relocate,
-      std::is_trivially_destructible_v<D> ? nullptr : &Ops<D>::destroy};
+      &Ops<D>::invoke,
+      std::is_trivially_copyable_v<D> ? nullptr : &Ops<D>::relocate,
+      std::is_trivially_destructible_v<D> ? nullptr : &Ops<D>::destroy,
+      std::is_empty_v<D> ? 0 : sizeof(D)};
 
   void move_from(InlineFunction& other) noexcept {
     vtable_ = other.vtable_;
     if (vtable_ != nullptr) {
-      vtable_->relocate(storage_, other.storage_);
+      // Only the capture's own bytes are initialized; copying the whole
+      // slot would read (and warn about) uninitialized storage.
+      if (vtable_->relocate == nullptr) {
+        std::memcpy(storage_, other.storage_, vtable_->size);
+      } else {
+        vtable_->relocate(storage_, other.storage_);
+      }
       other.vtable_ = nullptr;
     }
   }

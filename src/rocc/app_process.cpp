@@ -43,12 +43,6 @@ void ApplicationProcess::start() {
   begin_cycle();
 }
 
-bool ApplicationProcess::yield_if_blocked(SmallCallback resume_point) {
-  if (!blocked_on_pipe_) return false;
-  resume_point_ = std::move(resume_point);
-  return true;
-}
-
 void ApplicationProcess::begin_cycle() {
   if (yield_if_blocked([this] { begin_cycle(); })) return;
   current_burst_ = cpu_burst_(rng_);

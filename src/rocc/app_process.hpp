@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
 #include "des/engine.hpp"
 #include "des/random.hpp"
@@ -97,8 +98,14 @@ class ApplicationProcess {
   [[nodiscard]] SimTime sampling_period() const;
 
   /// True (and remembers how to resume) if the process is blocked on a full
-  /// pipe and must not progress.
-  bool yield_if_blocked(SmallCallback resume_point);
+  /// pipe and must not progress.  The resume callback is only built when
+  /// the process is actually blocked.
+  template <typename F>
+  bool yield_if_blocked(F&& resume_point) {
+    if (!blocked_on_pipe_) return false;
+    resume_point_ = std::forward<F>(resume_point);
+    return true;
+  }
 
   des::Engine& engine_;
   const SystemConfig& config_;

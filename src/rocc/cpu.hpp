@@ -10,10 +10,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "des/engine.hpp"
+#include "des/ring_fifo.hpp"
 #include "obs/trace.hpp"
 #include "rocc/types.hpp"
 
@@ -69,18 +69,25 @@ class CpuResource {
     CpuRequest request;
   };
 
+  /// Start jobs from the ready queue on idle CPUs.
   void dispatch();
+  /// Take an idle CPU for a job: park it in a free running slot and return
+  /// the slot.
+  std::uint32_t park(SimTime remaining, CpuRequest&& request);
+  /// Run the next slice of the job parked in `slot` (its CPU is held).
+  void run_slice(std::uint32_t slot);
   void on_slice_done(std::uint32_t slot);
 
   des::Engine& engine_;
   std::int32_t num_cpus_;
   SimTime quantum_;
   std::int32_t idle_cpus_;
-  std::deque<Job> ready_;
+  des::RingFifo<Job> ready_;
   /// Jobs currently holding a CPU, in reusable slots: the slice-completion
   /// event captures only {this, slot}, so scheduling a slice never copies
-  /// the job through the event queue.  At most num_cpus_ slots are ever
-  /// allocated.
+  /// the job through the event queue.  Sized once at num_cpus_ + 1 and
+  /// never reallocated: a finished job's completion callback runs in place
+  /// in its slot, whose CPU is already idle and may start one more job.
   std::vector<Job> running_;
   std::vector<std::uint32_t> running_free_;
   std::array<SimTime, trace::kNumProcessClasses> busy_{};

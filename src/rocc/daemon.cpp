@@ -50,7 +50,7 @@ void ParadynDaemon::start() {
 }
 
 void ParadynDaemon::receive_from_child(Batch batch) {
-  merge_queue_.push_back(batch);
+  merge_queue_.push_back(std::move(batch));
   try_start();
 }
 
@@ -65,7 +65,7 @@ bool ParadynDaemon::stalled() const noexcept { return engine_.now() < stalled_un
 
 std::uint64_t ParadynDaemon::kill_buffers() {
   std::uint64_t lost = pending_batch_.size() + merged_pending_.size();
-  for (const Batch& b : merge_queue_) lost += b.sample_count();
+  for (std::size_t i = 0; i < merge_queue_.size(); ++i) lost += merge_queue_[i].sample_count();
   metrics_.samples_dropped += lost;
   pending_batch_.clear();
   merged_pending_.clear();
@@ -99,9 +99,9 @@ void ParadynDaemon::try_start() {
 
   // Merged traffic first: en-route samples have already paid latency.
   if (!merge_queue_.empty()) {
-    Batch batch = merge_queue_.front();
+    Batch batch = std::move(merge_queue_.front());
     merge_queue_.pop_front();
-    start_merge(batch);
+    start_merge(std::move(batch));
     return;
   }
 

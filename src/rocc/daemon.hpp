@@ -12,12 +12,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "des/engine.hpp"
 #include "des/random.hpp"
+#include "des/ring_fifo.hpp"
 #include "obs/trace.hpp"
 #include "rocc/config.hpp"
 #include "rocc/cpu.hpp"
@@ -136,7 +136,7 @@ class ParadynDaemon {
 
   std::vector<Pipe*> pipes_;
   std::size_t next_pipe_ = 0;
-  std::deque<Batch> merge_queue_;
+  des::RingFifo<Batch> merge_queue_;
   std::vector<Sample> pending_batch_;
   /// Samples merged from children, waiting to ride the next local forward.
   std::vector<Sample> merged_pending_;

@@ -11,10 +11,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "des/engine.hpp"
+#include "des/ring_fifo.hpp"
 #include "obs/trace.hpp"
 #include "rocc/types.hpp"
 
@@ -100,7 +100,7 @@ class NetworkResource {
   des::Engine& engine_;
   NetworkContention contention_;
   bool server_busy_ = false;
-  std::deque<NetRequest> queue_;
+  des::RingFifo<NetRequest> queue_;
   /// Shared server: completion callback of the request in service (at most
   /// one); the completion event captures only {this}.
   SmallCallback in_service_;

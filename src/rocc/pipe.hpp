@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
+#include "des/ring_fifo.hpp"
 #include "rocc/types.hpp"
 
 namespace paradyn::rocc {
@@ -67,7 +67,7 @@ class Pipe {
   std::int32_t capacity_;
   /// Fault clamp; effective capacity is min(capacity_, limit_).
   std::int32_t limit_ = INT32_MAX;
-  std::deque<Sample> buffer_;
+  des::RingFifo<Sample> buffer_;
   SmallCallback on_data_;
   SmallCallback on_space_;
   std::uint64_t accepted_ = 0;

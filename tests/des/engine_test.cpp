@@ -63,6 +63,66 @@ TEST(Engine, RunUntilIncludesEventsAtHorizon) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Engine, RunBeforeLeavesEventsAtHorizonPending) {
+  Engine e;
+  std::vector<int> order;
+  (void)e.schedule_at(10.0, [&] { order.push_back(1); });
+  (void)e.schedule_at(25.0, [&] { order.push_back(2); });
+  EXPECT_EQ(e.run_before(25.0), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_DOUBLE_EQ(e.now(), 25.0);
+  EXPECT_EQ(e.pending_events(), 1u);
+  // The horizon event belongs to the next window.
+  EXPECT_EQ(e.run_until(25.0), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Engine, RunUntilFiresEventsPushedAtHorizonFromCallbacks) {
+  // A callback before the horizon, and one at it, each push an event at
+  // the horizon: the inclusive run fires both pushes, in push order.
+  Engine e;
+  std::vector<int> order;
+  (void)e.schedule_at(10.0, [&] {
+    order.push_back(1);
+    (void)e.schedule_at(25.0, [&] {
+      order.push_back(3);
+      (void)e.schedule_at(25.0, [&] { order.push_back(4); });
+    });
+  });
+  (void)e.schedule_at(25.0, [&] { order.push_back(2); });
+  EXPECT_EQ(e.run_until(25.0), 4u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_DOUBLE_EQ(e.now(), 25.0);
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(Engine, RunBeforeDefersEventsPushedAtHorizonFromCallbacks) {
+  Engine e;
+  std::vector<int> order;
+  (void)e.schedule_at(10.0, [&] {
+    order.push_back(1);
+    (void)e.schedule_at(25.0, [&] { order.push_back(2); });
+    (void)e.schedule_at(24.5, [&] { order.push_back(3); });
+  });
+  EXPECT_EQ(e.run_before(25.0), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_DOUBLE_EQ(e.now(), 25.0);
+  EXPECT_EQ(e.pending_events(), 1u);
+  EXPECT_EQ(e.run_before(25.0), 0u);  // still excluded
+  EXPECT_EQ(e.run_until(25.0), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(Engine, StopInsideBoundedRunKeepsClockAtStoppingEvent) {
+  Engine e;
+  (void)e.schedule_at(5.0, [&] { e.stop(); });
+  (void)e.schedule_at(7.0, [] {});
+  EXPECT_EQ(e.run_until(20.0), 1u);
+  EXPECT_DOUBLE_EQ(e.now(), 5.0);
+  EXPECT_EQ(e.run_before(20.0), 1u);
+  EXPECT_DOUBLE_EQ(e.now(), 20.0);
+}
+
 TEST(Engine, StopInterruptsRun) {
   Engine e;
   int fired = 0;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -193,6 +195,65 @@ TEST(InlineFunction, MoveAssignDestroysPreviousCallable) {
   EXPECT_FALSE(watch.expired());
   f = [] {};
   EXPECT_TRUE(watch.expired());
+}
+
+TEST(InlineFunction, TriviallyCopyableCaptureRelocatesBytesUnchanged) {
+  // The `[this, slot]` shape: relocation copies the capture's bytes.
+  struct Capture {
+    const void* owner;
+    std::uint64_t slot;  // no padding: every byte of the capture is checked
+  };
+  std::vector<Capture> seen;
+  const Capture expect{&seen, 0x0123456789abcdefu};
+  auto record = [&seen, expect] { seen.push_back(expect); };
+  static_assert(std::is_trivially_copyable_v<decltype(record)>);
+  InlineFunction<64> a = record;
+  InlineFunction<64> b = std::move(a);
+  InlineFunction<64> c;
+  c = std::move(b);
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move) — documented postcondition
+  EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+  c();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].owner, expect.owner);
+  EXPECT_EQ(seen[0].slot, expect.slot);
+}
+
+TEST(InlineFunction, NonTrivialCaptureMovesThroughItsConstructorAndDiesOnce) {
+  // A capture holding a std::vector (like the daemon's Batch) must be
+  // relocated by its move constructor, leaving the source empty, and be
+  // destroyed exactly once however often it moves.
+  struct Tracked {
+    std::vector<int> samples;
+    int* moves;
+    int* destroyed;
+    Tracked(std::vector<int> s, int* m, int* d) : samples(std::move(s)), moves(m), destroyed(d) {}
+    Tracked(Tracked&& other) noexcept
+        : samples(std::move(other.samples)), moves(other.moves), destroyed(other.destroyed) {
+      ++*moves;
+      other.destroyed = nullptr;  // moved-from shells do not count
+    }
+    Tracked(const Tracked&) = delete;
+    ~Tracked() {
+      if (destroyed != nullptr) ++*destroyed;
+    }
+  };
+  int moves = 0;
+  int destroyed = 0;
+  std::size_t seen = 0;
+  {
+    InlineFunction<64> a =
+        [t = Tracked({1, 2, 3}, &moves, &destroyed), &seen] { seen = t.samples.size(); };
+    const int moves_at_store = moves;
+    InlineFunction<64> b = std::move(a);
+    EXPECT_EQ(moves, moves_at_store + 1);
+    InlineFunction<96> outer = std::move(b);  // nested: relocates the inner one
+    EXPECT_EQ(moves, moves_at_store + 2);
+    outer();
+    EXPECT_EQ(seen, 3u);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
 }
 
 TEST(InlineFunction, CapacityAccountingMatchesEventQueueSlot) {

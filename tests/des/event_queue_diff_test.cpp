@@ -46,6 +46,31 @@ class LockstepDriver {
     live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(k % live_.size()));
   }
 
+  /// Cancel the most recently pushed not-yet-cancelled event — for a
+  /// same-instant burst, its bucket's tail record.
+  void cancel_newest() {
+    if (!live_.empty()) cancel(live_.size() - 1);
+  }
+
+  /// Bounded pop: the calendar queue's single-pass pop(limit, bound)
+  /// against the heap's peek_time() + pop().  Returns whether an event
+  /// fired.
+  bool pop_bounded(SimTime limit, EventQueue::Bound bound) {
+    auto c = calendar_.pop(limit, bound);
+    const auto next = heap_.peek_time();
+    const bool heap_due =
+        next && (bound == EventQueue::Bound::Inclusive ? *next <= limit : *next < limit);
+    EXPECT_EQ(c.has_value(), heap_due);
+    if (!c || !heap_due) return false;
+    auto h = heap_.pop();
+    last_pop_time_ = c->time;
+    calendar_.fire(*c);
+    h->callback();
+    EXPECT_EQ(calendar_out_.size(), heap_out_.size());
+    EXPECT_EQ(calendar_out_.back(), heap_out_.back());
+    return true;
+  }
+
   /// Pop one event from each queue and fire it.
   void pop_one() {
     auto c = calendar_.pop();
@@ -156,6 +181,94 @@ TEST(EventQueueDiff, UniformHorizonBulkLoad) {
   d.drain();
   d.compare();
   EXPECT_EQ(d.popped(), 30'000u - 300u);
+}
+
+TEST(EventQueueDiff, SynchronizedTimerBurstsWithOutOfOrderPushes) {
+  // The sampling-timer pattern: 32 timers re-armed at identical k * period
+  // instants (every push of a burst appends at its bucket's tail), with
+  // out-of-order pushes into the same buckets — just before a burst's
+  // instant, and at it after the burst — interleaved.  Rounds drain with
+  // the bounded pop, inclusive and exclusive, like run_until/run_before.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    LockstepDriver d;
+    RngStream rng(seed, 41);
+    constexpr SimTime kPeriod = 5'000.0;
+    for (int round = 1; round <= 400; ++round) {
+      const SimTime instant = kPeriod * round;
+      for (int timer = 0; timer < 32; ++timer) {
+        d.push(instant);
+        if (rng.next_double() < 0.2) d.push(instant - rng.next_double() * 1e-6);
+        if (rng.next_double() < 0.1) d.push(instant - kPeriod * rng.next_double());
+      }
+      if (rng.next_double() < 0.3) d.cancel_newest();
+      d.push(instant);
+      const auto bound =
+          round % 2 == 0 ? EventQueue::Bound::Inclusive : EventQueue::Bound::Exclusive;
+      while (d.pop_bounded(instant - kPeriod / 2, bound)) {
+      }
+    }
+    d.drain();
+    d.compare();
+  }
+}
+
+TEST(EventQueueDiff, CancelledBucketTailThenAppend) {
+  // Cancel the tail of a same-instant run, append behind it, then let the
+  // sweep unlink the cancelled records (emptying the bucket) and append to
+  // the emptied bucket again.
+  LockstepDriver d;
+  RngStream rng(5, 43);
+  SimTime t = 100.0;
+  for (int round = 0; round < 2'000; ++round) {
+    const int burst = 1 + static_cast<int>(rng.next_double() * 6.0);
+    for (int i = 0; i < burst; ++i) d.push(t);
+    d.cancel_newest();
+    d.push(t);
+    if (rng.next_double() < 0.5) d.cancel_newest();
+    if (rng.next_double() < 0.5) d.push(t + rng.next_double() * 1e-6);
+    while (d.pop_bounded(t, EventQueue::Bound::Inclusive)) {
+    }
+    // The run at t is drained: its bucket is empty again (or holds only
+    // the later straggler), and the next pushes land in it.
+    d.push(t);
+    d.cancel_newest();
+    d.push(t);
+    while (d.pop_bounded(t, EventQueue::Bound::Inclusive)) {
+    }
+    t += 1.0 + rng.next_double() * 10.0;
+  }
+  d.drain();
+  d.compare();
+}
+
+TEST(EventQueueDiff, WindowMigrationThenTailAppends) {
+  // Everything starts in the far tier, on a coarse grid of instants, so a
+  // window advance migrates long same-time runs into buckets.  Pushes then
+  // append behind the migrated tails (equal times: later seq) or insert
+  // before them, and cancels hit migrated tails.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    LockstepDriver d;
+    RngStream rng(seed, 47);
+    const auto grid = [&rng] { return 10.0 * static_cast<int>(rng.next_double() * 200.0); };
+    for (int i = 0; i < 4'000; ++i) d.push(1'000.0 + grid());
+    d.pop_one();  // advances the window: migration
+    for (int round = 0; round < 3'000; ++round) {
+      const double r = rng.next_double();
+      if (r < 0.4) {
+        d.push(1'000.0 + grid());
+      } else if (r < 0.55) {
+        d.push(1'000.0 + grid() - rng.next_double() * 1e-3);
+      } else if (r < 0.65) {
+        d.cancel_newest();
+      } else if (r < 0.7) {
+        d.push(1e6 + rng.next_double() * 1e6);  // far tier again
+      } else {
+        d.pop_one();
+      }
+    }
+    d.drain();
+    d.compare();
+  }
 }
 
 }  // namespace
