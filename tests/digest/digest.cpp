@@ -256,6 +256,38 @@ const std::vector<Canonical>& canonical() {
        "", true},
       {"now_shards1", [] { return sharded(1); }, "", false},
       {"now_shards4", [] { return sharded(4); }, "", false},
+      {"mpp_tree_detect_repair",
+       [] {
+         // Detection + repair on a tree: the stalled subtree of daemon 1
+         // joins the consultant late and out of node-id order, and the
+         // crash cascades to its tree neighbours.
+         SystemConfig c = SystemConfig::mpp(32, rocc::ForwardingTopology::BinaryTree);
+         c.sampling_period_us = 1'000.0;
+         c.batch_size = 32;
+         c.duration_us = 1e6;
+         c.faults = rocc::FaultPlan::parse(
+             "daemon_stall:daemon=1,start=10ms,dur=150ms;"
+             "daemon_crash:daemon=9,start=300ms,dur=250ms,cascade=0.9;"
+             "link_slow:start=550ms,dur=150ms,factor=4;"
+             "pipe_backpressure:daemon=20,start=750ms,dur=150ms,capacity=2");
+         return c;
+       },
+       "restart_daemon:timeout=100ms,max_retries=3,backoff=exp:50ms;"
+       "reroute_link:timeout=100ms;"
+       "reset_pipe:timeout=100ms",
+       false},
+      {"now_process_refine",
+       [] {
+         // Two processes per node: each fault is first flagged by one
+         // process of node 0 standing out from its node (SyncWaiting).
+         SystemConfig c = now(4, 10.0, 1, 2.0);
+         c.app_processes_per_node = 2;
+         c.faults = rocc::FaultPlan::parse(
+             "sample_drop:node=0,start=300ms,dur=300ms,p=0.5;"
+             "pipe_backpressure:daemon=0,start=1s,dur=500ms,capacity=1");
+         return c;
+       },
+       "", false},
   };
   return configs;
 }
