@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace paradyn::consultant {
 
@@ -19,6 +21,10 @@ constexpr double kUnitRoundoff = 0x1p-53;
 
 std::uint64_t to_fixed(double fraction) {
   return static_cast<std::uint64_t>(fraction * kFixedScale);
+}
+
+bool valid_id(std::int32_t id) {
+  return id >= 0 && id < std::numeric_limits<std::int32_t>::max();
 }
 }  // namespace
 
@@ -124,6 +130,11 @@ std::vector<Finding> PerformanceConsultant::search_and_record() {
 }
 
 PerformanceConsultant::Row PerformanceConsultant::observe(const rocc::Sample& sample) {
+  if (!valid_id(sample.node) || !valid_id(sample.app_index)) {
+    throw std::invalid_argument("PerformanceConsultant: sample node " +
+                                std::to_string(sample.node) + " / process " +
+                                std::to_string(sample.app_index) + " outside [0, INT32_MAX)");
+  }
   now_us_ = std::max(now_us_, sample.generated_at);
   // Clamp against scheduling jitter: a burst completing right after a tick
   // can report a fraction slightly above 1.

@@ -83,6 +83,8 @@ class PerformanceConsultant {
     bool joined = false;
   };
   /// Feed one delivered sample (wire this to MainParadyn::set_sample_sink).
+  /// Throws std::invalid_argument unless the node and process ids lie in
+  /// [0, INT32_MAX): -1 is Focus's node-level sentinel.
   Row observe(const rocc::Sample& sample);
 
   /// Run the two-level search on the current windows.  Global findings come

@@ -1,9 +1,6 @@
 #include "consultant/fault_detector.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace paradyn::consultant {
@@ -25,16 +22,13 @@ constexpr std::uint64_t kStarvedTag = 3;  // after the three hypotheses
 // One key per signature element: two tag bits (the hypothesis, or
 // kStarvedTag), then node + 1 and process + 1 in 31 bits each, where 0
 // stands for the whole program or a node-level focus.  For ids in
-// [0, INT32_MAX) the keys map one-to-one onto the elements' labels
-// ("CPUBound@node 3 / process 1", "starved@node 5", ...), so equal key
-// sets mean equal findings and starvation sets.
+// [0, INT32_MAX), the only ids PerformanceConsultant::observe accepts, the
+// keys map one-to-one onto the elements' labels ("CPUBound@node 3 /
+// process 1", "starved@node 5", ...), so equal key sets mean equal
+// findings and starvation sets.
 std::uint64_t signature_key(std::uint64_t tag, std::int32_t node, std::int32_t process) {
   return tag << 62 | static_cast<std::uint64_t>(node + 1) << 31 |
          static_cast<std::uint64_t>(process + 1);
-}
-
-bool valid_id(std::int32_t id) {
-  return id >= 0 && id < std::numeric_limits<std::int32_t>::max();
 }
 
 }  // namespace
@@ -89,11 +83,6 @@ void FaultDetector::evaluate(rocc::SimTime now) {
 }
 
 void FaultDetector::observe(const rocc::Sample& sample, rocc::SimTime delivered_at) {
-  if (!valid_id(sample.node) || !valid_id(sample.app_index)) {
-    throw std::invalid_argument("FaultDetector: sample node " + std::to_string(sample.node) +
-                                " / process " + std::to_string(sample.app_index) +
-                                " outside [0, INT32_MAX)");
-  }
   const PerformanceConsultant::Row row = consultant_.observe(sample);
   if (row.joined) {
     last_seen_at_.insert(last_seen_at_.begin() + static_cast<std::ptrdiff_t>(row.index),

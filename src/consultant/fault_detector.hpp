@@ -47,9 +47,8 @@ class FaultDetector {
   FaultDetector(rocc::FaultPlan plan, DetectorConfig config);
 
   /// Feed one delivered sample; `delivered_at` is the simulated delivery
-  /// time (wire to MainParadyn's sink with the engine clock).  Node and
-  /// process ids must lie in [0, INT32_MAX); throws std::invalid_argument
-  /// otherwise.
+  /// time (wire to MainParadyn's sink with the engine clock).  Ids are
+  /// checked by PerformanceConsultant::observe.
   void observe(const rocc::Sample& sample, rocc::SimTime delivered_at);
 
   /// Copy detection/recovery results into `outcomes` (which must be the

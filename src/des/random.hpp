@@ -78,21 +78,6 @@ class Pcg32 {
   /// Uniform integer in [0, bound) using Lemire rejection.
   [[nodiscard]] std::uint32_t next_below(std::uint32_t bound) noexcept;
 
-  /// The LCG multiplier, exposed for the batch ziggurat kernels
-  /// (stats/ziggurat_batch.cpp) which advance several states per vector
-  /// step with precomputed powers of the multiplier.
-  static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
-
-  /// Raw generator state, for speculative batch generation: a vector
-  /// kernel snapshots the state, races ahead assuming the rejection-free
-  /// fast path, and restores the snapshot to replay scalar when any lane
-  /// rejects — keeping batch streams bit-identical to scalar draws.  Not
-  /// for model code; entities must stay on the drawing interface.
-  [[nodiscard]] std::uint64_t raw_state() const noexcept { return state_; }
-  void set_raw_state(std::uint64_t state) noexcept { state_ = state; }
-  /// The (odd) per-stream increment; constant over the stream's lifetime.
-  [[nodiscard]] std::uint64_t raw_increment() const noexcept { return inc_; }
-
  private:
   std::uint64_t state_;
   std::uint64_t inc_;

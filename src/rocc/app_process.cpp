@@ -10,20 +10,16 @@ ApplicationProcess::ApplicationProcess(des::Engine& engine, const SystemConfig& 
                                        BarrierManager* barrier,
                                        const SamplingController* controller,
                                        MetricsCollector& metrics, des::RngStream rng,
-                                       std::int32_t node, std::int32_t index,
-                                       stats::BatchSpec batch)
+                                       std::int32_t node, std::int32_t index)
     : engine_(engine),
       config_(config),
       model_(std::move(model)),
-      cpu_burst_(stats::FrozenSampler::compile(model_.cpu_burst, config.sampler_backend()),
-                 batch.at(0)),
-      net_burst_(stats::FrozenSampler::compile(model_.net_burst, config.sampler_backend()),
-                 batch.at(1)),
+      cpu_burst_(stats::FrozenSampler::compile(model_.cpu_burst, config.sampler_backend())),
+      net_burst_(stats::FrozenSampler::compile(model_.net_burst, config.sampler_backend())),
       io_block_duration_(model_.io_block_duration
                              ? stats::FrozenSampler::compile(model_.io_block_duration,
                                                              config.sampler_backend())
-                             : stats::FrozenSampler{},
-                         batch.at(2)),
+                             : stats::FrozenSampler{}),
       cpu_(cpu),
       network_(network),
       pipe_(pipe),

@@ -3,14 +3,12 @@
 namespace paradyn::rocc {
 
 MainParadyn::MainParadyn(des::Engine& engine, const SystemConfig& config, CpuResource& host_cpu,
-                         MetricsCollector& metrics, des::RngStream rng,
-                         stats::BatchSpec batch)
+                         MetricsCollector& metrics, des::RngStream rng)
     : engine_(engine),
       config_(config),
       host_cpu_(host_cpu),
       metrics_(metrics),
-      main_cpu_(stats::FrozenSampler::compile(config.main_cpu, config.sampler_backend()),
-                batch.at(0)),
+      main_cpu_(stats::FrozenSampler::compile(config.main_cpu, config.sampler_backend())),
       rng_(rng) {}
 
 void MainParadyn::receive(const Batch& batch) {

@@ -70,11 +70,6 @@ class AliasTable {
     return lo_[pick] + frac * width_[pick];
   }
 
-  /// Bulk draw: the same stream as n scalar calls.
-  void fill(des::Pcg32& rng, double* out, std::size_t n) const noexcept {
-    for (std::size_t i = 0; i < n; ++i) out[i] = (*this)(rng);
-  }
-
   /// Number of merged mixture components (1 column skips the alias test).
   [[nodiscard]] std::size_t columns() const noexcept {
     return static_cast<std::size_t>(columns_);

@@ -47,14 +47,10 @@ inline constexpr double kExpZigR = 7.697117470131487;
 
 /// Rejection paths: wedge test against the density, or tail sampling when
 /// the draw landed in layer 0.  Out of line — together they handle < 2% of
-/// draws.  When `consumed` is non-null it receives the number of extra u64
-/// draws taken from `rng`, so batch kernels can advance their cached-stream
-/// cursor without replaying LCG states.
-[[nodiscard]] double ziggurat_normal_slow(des::Pcg32& rng, std::int64_t hz, std::uint32_t iz,
-                                          std::uint32_t* consumed = nullptr);
+/// draws.
+[[nodiscard]] double ziggurat_normal_slow(des::Pcg32& rng, std::int64_t hz, std::uint32_t iz);
 [[nodiscard]] double ziggurat_exponential_slow(des::Pcg32& rng, std::uint64_t jz,
-                                               std::uint32_t iz,
-                                               std::uint32_t* consumed = nullptr);
+                                               std::uint32_t iz);
 
 }  // namespace detail
 
@@ -83,54 +79,5 @@ inline constexpr double kExpZigR = 7.697117470131487;
   }
   return detail::ziggurat_exponential_slow(rng, jz, iz);
 }
-
-// --- Batch generation (ziggurat_batch.cpp) ---------------------------------
-//
-// The fill kernels produce exactly the stream the scalar loop
-// `for (i) out[i] = ziggurat_*(rng)` would — bit for bit, including the
-// RNG state left behind — regardless of which instruction set executes
-// them.
-//
-// The AVX-512 arm (needs AVX512F+DQ for the 64-bit multiply and the
-// exact int64 -> double conversion) runs in two phases per 2048-draw
-// chunk.  Phase 1 bulk-generates the raw u64 stream branch-free into a
-// scratch buffer, recording an LCG head state every 16 draws.  Phase 2
-// consumes the buffer 16 draws at a time: decode, table lookup
-// (hardware gather), fused accept test across two 8-lane blocks, and a
-// masked store of the accepted prefix.  On a rejection the resolver
-// runs the scalar rejection algorithm but reads its extra draws
-// directly from the already-generated buffer — the slow path is
-// memoryless given (hz, iz), so when it would outrun the buffer the
-// resolver reconstructs the exact RNG state from the nearest head via
-// precomputed LCG jump coefficients and falls back to the out-of-line
-// scalar routine, which reports how many draws it consumed.  Either
-// way a rejection consumes its extra draws exactly where the scalar
-// loop would.  The AVX2 arm (4 lanes) is single-phase speculative: it
-// advances 8 LCG lanes from a block-head snapshot, commits all-accept
-// blocks, and replays any rejecting block scalar from the snapshot.
-
-/// Which batch kernel implementation the fill functions run.
-enum class BatchDispatch : std::uint8_t {
-  Auto,         ///< Best supported arm: AVX-512, else AVX2, else scalar.
-  ForceScalar,  ///< Scalar always (the CI fallback leg and A/B testing).
-  CapAvx2,      ///< At most the AVX2 arm (exercises the mid tier on
-                ///< AVX-512 hardware; scalar where AVX2 is missing).
-};
-
-/// Override the batch dispatch policy (process-wide).  The default is
-/// Auto, unless the environment variable PARADYN_BATCH_DISPATCH forced a
-/// lower arm at first use ("scalar" or "avx2").
-void set_batch_dispatch(BatchDispatch dispatch) noexcept;
-
-/// The kernel the next fill call will run: "avx512", "avx2" or "scalar".
-[[nodiscard]] const char* batch_dispatch_active() noexcept;
-
-/// Fill out[0..n) with standard-normal variates; bit-identical to n calls
-/// of ziggurat_normal(rng).
-void ziggurat_normal_fill(des::Pcg32& rng, double* out, std::size_t n);
-
-/// Fill out[0..n) with unit-mean exponential variates; bit-identical to n
-/// calls of ziggurat_exponential(rng).
-void ziggurat_exponential_fill(des::Pcg32& rng, double* out, std::size_t n);
 
 }  // namespace paradyn::stats

@@ -938,12 +938,12 @@ std::size_t replay_consultants(const ConsultantConfig& config,
 }
 
 TEST(ConsultantLayout, OutOfOrderJoinsMatchReference) {
-  // Nodes join as 5, 2, 9, 0, 7; node 2's processes join as 3, 6, 1, 0;
-  // node -4 joins last, below every id seen so far.
+  // Nodes join as 5, 2, 9, 1, 7; node 2's processes join as 3, 6, 1, 0;
+  // node 0 joins last, below every id seen so far.
   const std::vector<Joiner> joins = {
-      {0, 5, 0, 'c'},  {10, 2, 3, 'w'}, {20, 9, 0, 'i'},   {30, 0, 0, 'b'},
-      {40, 7, 0, 'h'}, {60, 2, 6, 'h'}, {80, 2, 1, 'w'},   {100, 2, 0, 'h'},
-      {160, -4, 0, 'h'}, {170, -4, 2, 'w'}};
+      {0, 5, 0, 'c'},  {10, 2, 3, 'w'}, {20, 9, 0, 'i'},  {30, 1, 0, 'b'},
+      {40, 7, 0, 'h'}, {60, 2, 6, 'h'}, {80, 2, 1, 'w'},  {100, 2, 0, 'h'},
+      {160, 0, 0, 'h'}, {170, 0, 2, 'w'}};
   ConsultantConfig config;
   config.window = 8;
   config.min_samples = 4;
@@ -952,17 +952,17 @@ TEST(ConsultantLayout, OutOfOrderJoinsMatchReference) {
 
   PerformanceConsultant pc(config);
   for (const Delivery& d : stream) pc.observe(d.sample);
-  EXPECT_EQ(pc.known_nodes(), (std::vector<std::int32_t>{-4, 0, 2, 5, 7, 9}));
+  EXPECT_EQ(pc.known_nodes(), (std::vector<std::int32_t>{0, 1, 2, 5, 7, 9}));
 }
 
 TEST(ConsultantLayout, ExtremeIdsMatchReferenceWithoutGrowingMemory) {
-  // Ids at both ends of int32: a table indexed by id would need gigabytes.
-  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
-  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  // Ids at both ends of the accepted range [0, INT32_MAX): a table indexed
+  // by id would need gigabytes.
+  constexpr std::int32_t kTop = std::numeric_limits<std::int32_t>::max() - 1;
   const std::vector<Joiner> joins = {
-      {0, kMax, 0, 'h'},      {0, kMax, kMin, 'w'}, {5, kMin, kMax, 'c'},
-      {5, kMin, 0, 'c'},      {9, -1, 7, 'i'},      {12, kMax - 1, kMax - 1, 'h'},
-      {12, kMax - 1, kMax, 'w'}, {20, 0, kMin, 'b'}, {30, 3, 0, 'b'}};
+      {0, kTop, 0, 'h'},         {0, kTop, 1, 'w'},  {5, 0, kTop, 'c'},
+      {5, 0, 0, 'c'},            {9, 1, 7, 'i'},     {12, kTop - 1, kTop - 1, 'h'},
+      {12, kTop - 1, kTop, 'w'}, {20, 2, 1, 'b'},    {30, 3, 0, 'b'}};
   ConsultantConfig config;
   config.window = 8;
   config.min_samples = 4;

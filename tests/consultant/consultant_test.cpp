@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "rocc/simulation.hpp"
 
@@ -147,6 +148,18 @@ TEST(Consultant, KnownNodesTracksFoci) {
   EXPECT_EQ(nodes[0], 3);
   EXPECT_EQ(nodes[1], 7);
   EXPECT_EQ(pc.samples_observed(), 4u);
+}
+
+// -1 is Focus's node-level sentinel: a process -1 would file findings that
+// read and key exactly like its node's own focus, so a bare consultant
+// rejects it (and node -1) before filing anything.
+TEST(Consultant, RejectsTheNodeLevelSentinelAsAnId) {
+  PerformanceConsultant pc;
+  EXPECT_THROW(pc.observe(make_sample(0, 0.5, 0.1, -1)), std::invalid_argument);
+  EXPECT_THROW(pc.observe(make_sample(-1, 0.5, 0.1)), std::invalid_argument);
+  EXPECT_EQ(pc.samples_observed(), 0u);
+  EXPECT_TRUE(pc.known_nodes().empty());
+  EXPECT_NO_THROW(pc.observe(make_sample(0, 0.5, 0.1)));
 }
 
 TEST(Consultant, EpisodeHistoryTracksWhen) {

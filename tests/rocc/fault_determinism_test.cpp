@@ -15,10 +15,10 @@
 
 #include "consultant/fault_detector.hpp"
 #include "des/event_queue.hpp"
-#include "des/heap_event_queue.hpp"
 #include "experiments/runner.hpp"
 #include "rocc/faults.hpp"
 #include "rocc/simulation.hpp"
+#include "support/heap_event_queue.hpp"
 
 namespace paradyn::rocc {
 namespace {

@@ -164,37 +164,6 @@ TEST(FrozenSampler, EmpiricalTableOutlivesSourceDistribution) {
   }
 }
 
-// fill() is defined as the batch form of n scalar draws: for every family,
-// both backends, and both batch dispatch arms, the block must bit-match
-// the scalar loop and leave the RNG in the identical state.
-TEST(FrozenSampler, FillBitMatchesScalarLoopAllFamiliesAllDispatchArms) {
-  auto families = known_families();
-  families.push_back(std::make_shared<Empirical>(std::vector<double>{1.0, 2.0, 2.0, 5.0, 9.0}));
-  // Odd size: exercises the vector body and the scalar tail.
-  constexpr std::size_t kN = 1003;
-  for (const auto dispatch :
-       {BatchDispatch::Auto, BatchDispatch::CapAvx2, BatchDispatch::ForceScalar}) {
-    set_batch_dispatch(dispatch);
-    for (const auto& dist : families) {
-      for (const auto backend : {SamplerBackend::Ziggurat, SamplerBackend::Reference}) {
-        const auto sampler = FrozenSampler::compile(dist, backend);
-        des::RngStream rng_fill(41, 13);
-        des::RngStream rng_scalar(41, 13);
-        std::vector<double> batch(kN);
-        sampler.fill(rng_fill, batch);
-        for (std::size_t i = 0; i < kN; ++i) {
-          const double want = sampler(rng_scalar);
-          ASSERT_EQ(batch[i], want) << dist->describe() << " " << to_string(backend)
-                                    << " dispatch=" << batch_dispatch_active() << " i=" << i;
-        }
-        ASSERT_EQ(rng_fill.next_u64(), rng_scalar.next_u64())
-            << dist->describe() << " " << to_string(backend) << ": RNG state diverged";
-      }
-    }
-  }
-  set_batch_dispatch(BatchDispatch::Auto);
-}
-
 // A Distribution subclass outside the known families is a configuration
 // error, not something to silently slow-path.
 TEST(FrozenSampler, UnknownSubclassIsRejected) {

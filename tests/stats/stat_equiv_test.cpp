@@ -87,10 +87,10 @@ TEST(StatEquiv, FrozenSamplerMatchesDistributionCdfUnderBothBackends) {
   }
 }
 
-/// Empirical via the Walker alias table (ISSUE 10): the O(1) batched
-/// sampler replaced PR-6's inline quantile search on the Ziggurat backend,
-/// changing the consumed stream, so the new path re-proves itself against
-/// the interpolated empirical CDF — the distribution BOTH paths sample.
+/// Empirical via the Walker alias table: the O(1) sampler replaced the
+/// inline quantile search on the Ziggurat backend, changing the consumed
+/// stream, so the new path re-proves itself against the interpolated
+/// empirical CDF — the distribution BOTH paths sample.
 /// Distinct order statistics keep the CDF continuous (a KS requirement).
 TEST(StatEquiv, EmpiricalAliasTableMatchesInterpolatedCdf) {
   std::vector<double> data;
@@ -124,12 +124,7 @@ TEST(StatEquiv, EmpiricalAliasTableMatchesInterpolatedCdf) {
     const std::string what =
         std::string("empirical / ") + to_string(backend) +
         (backend == SamplerBackend::Ziggurat ? " (alias table)" : " (quantile)");
-    if (backend == SamplerBackend::Ziggurat) {
-      // Drive the batched fill() path — the production consumer.
-      sampler.fill(rng, xs);
-    } else {
-      for (double& x : xs) x = sampler(rng);
-    }
+    for (double& x : xs) x = sampler(rng);
     expect_ks_accepts(xs, [&dist](double x) { return dist->cdf(x); }, what.c_str());
     expect_moments(xs, mix_mean, mix_var, what.c_str());
   }

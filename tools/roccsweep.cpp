@@ -51,9 +51,6 @@ void print_help() {
       "  --uplink-ms X      daemon uplink latency in ms (the cross-shard lookahead);\n"
       "                     default 0 (0.5 when --shards is given)\n"
       "  --reference-rng    pre-ziggurat variate backend (pre-PR-5 streams)\n"
-      "  --batch-sampling [N]  prefill-buffer batch sampling (block N, default\n"
-      "                     256); deterministic across --jobs/--shards, but a\n"
-      "                     different stream than the default\n"
       "  --jobs N           worker threads per replication set; default: all\n"
       "                     hardware threads, 1 = serial (results identical).\n"
       "                     Shard workers are clamped per job so --jobs x --shards\n"
@@ -343,8 +340,7 @@ int main(int argc, char** argv) {
     const tools::CliArgs args(
         argc, argv,
         {"axis", "values", "arch", "nodes", "apps", "daemons", "sampling-ms", "batch",
-         "topology", "seconds", "reps", "seed", "shards", "uplink-ms", "reference-rng",
-         "batch-sampling", "jobs",
+         "topology", "seconds", "reps", "seed", "shards", "uplink-ms", "reference-rng", "jobs",
          "progress", "report-json", "fault-grid", "repair-grid", "help"});
     const bool grid_mode = args.get_bool("fault-grid");
     const bool repair_grid_mode = args.get_bool("repair-grid");
@@ -388,12 +384,6 @@ int main(int argc, char** argv) {
     base.uplink_latency_us =
         args.get_double("uplink-ms", base.shards > 0 ? 0.5 : 0.0) * 1'000.0;
     base.reference_rng = args.get_bool("reference-rng");
-    if (args.has("batch-sampling")) {
-      base.batch.enabled = true;
-      if (args.get_string("batch-sampling", "true") != "true") {
-        base.batch.block = static_cast<std::int32_t>(args.get_long("batch-sampling", 256));
-      }
-    }
 
     if (args.get_bool("progress")) experiments::set_progress_stream(&std::cerr);
     const std::string report_file = args.get_string("report-json", "");
